@@ -2,17 +2,19 @@
 
 A balanced binary tree over the feature attributes. At a leaf (one attribute
 A_u), the weighted 1-D projection H_u = π_{A_u}(q(D)) with multiplicity
-weights is computed *exactly* by the counting Yannakakis DP re-rooted at a
-relation containing A_u, and clustered directly (the cost v_S(H_u) is exact,
-so r_u needs no inflation). At an inner node u with children v, z:
-X = S_v × S_z (≤ k² candidates), r = r_v + r_z, and Algorithm 2 (or 1)
-reduces back to k centers with certificate r_u. The root's S is the final
-(1+ε)γ-approximation (Theorem 4.2).
+weights is computed *exactly* — one group-by over the call's up–down
+multiplicity frames, which also weight the sample pool — and clustered
+directly (the cost v_S(H_u) is exact, so r_u needs no inflation). At an
+inner node u with children v, z: X = S_v × S_z (≤ k² candidates),
+r = r_v + r_z, and Algorithm 2 (or 1) reduces back to k centers with
+certificate r_u. The root's S is the final (1+ε)γ-approximation
+(Theorem 4.2).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 import pandas as pd
@@ -71,9 +73,16 @@ def _leaf(
     objective: str,
     discrete: bool,
     rng: np.random.Generator,
+    *,
+    counts: Mapping[str, object] | None = None,
 ) -> NodeResult:
-    """Algorithm 3 lines 1–8: exact weighted 1-D projection, clustered."""
-    H: pd.DataFrame = Q.engine.to_pandas(Q.leaf_weights(attr))
+    """Algorithm 3 lines 1–8: exact weighted 1-D projection, clustered.
+
+    ``counts``: the call's :meth:`RelQuery.multiplicities` (default: fresh).
+    """
+    H: pd.DataFrame = Q.engine.to_pandas(Q.leaf_weights(attr, counts))
+    # Engine group-bys return rows in no fixed order; fix it for the seed.
+    H = H.sort_values("value", ignore_index=True)
     P = H["value"].to_numpy(dtype=np.float64)[:, None]
     w = H["weight"].to_numpy(dtype=np.float64)
     S, _ = cluster(P, w, k, objective, discrete=discrete, rng=rng)
@@ -107,23 +116,17 @@ def relational_cluster(
     t0 = time.perf_counter()
     n = Q.total_count()
     t_count = time.perf_counter() - t0
-
+    if n == 0:
+        raise ValueError("the join is empty: q(D) has no results to cluster")
+    if method not in ("fast", "slow"):
+        raise ValueError(f"unknown method {method!r}")
+    nodes: list[NodeResult] = []
     pool = None
     t_pool = 0.0
-    if method == "fast":
-        t0 = time.perf_counter()
-        pool_pdf = Q.sample(min(pool_size, max(10 * n, 1)), rng, attrs=feats)
-        pool = pool_pdf.to_numpy(dtype=np.float64)
-        t_pool = time.perf_counter() - t0
-    elif method != "slow":
-        raise ValueError(f"unknown method {method!r}")
-
-    nodes: list[NodeResult] = []
-    t0 = time.perf_counter()
 
     def solve(lo: int, hi: int) -> NodeResult:
         if hi - lo == 1:
-            res = _leaf(Q, feats[lo], k, objective, discrete, rng)
+            res = _leaf(Q, feats[lo], k, objective, discrete, rng, counts=counts)
             nodes.append(res)
             return res
         mid = (lo + hi) // 2
@@ -148,8 +151,16 @@ def relational_cluster(
         nodes.append(res)
         return res
 
-    root = solve(0, len(feats))
-    t_tree = time.perf_counter() - t0
+    # One up–down pass serves the pool's descent and every leaf H_u.
+    with Q.multiplicities() as counts:
+        if method == "fast":
+            t0 = time.perf_counter()
+            z = min(pool_size, max(10 * n, 1))
+            pool = Q.sample(z, rng, attrs=feats, counts=counts).to_numpy(dtype=np.float64)
+            t_pool = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        root = solve(0, len(feats))
+        t_tree = time.perf_counter() - t0
     # Root attrs may be a permutation of feats (balanced split order);
     # reorder center columns to the canonical feature order.
     perm = [root.attrs.index(f) for f in feats]

@@ -100,18 +100,16 @@ def candidate_cells_from_points(
     if len(idx) == 0:
         return []
     levels, coords = snap_points(x, P[idx], params, j_cap)
-    order = np.lexsort((*coords.T[::-1], levels))
-    out: list[tuple[int, tuple[int, ...], np.ndarray]] = []
-    start = 0
     keys = np.column_stack([levels, coords])
-    for i in range(1, len(order) + 1):
-        if i == len(order) or not np.array_equal(keys[order[i]], keys[order[start]]):
-            members = idx[order[start:i]]
-            j = int(levels[order[start]])
-            cc = tuple(int(c) for c in coords[order[start]])
-            out.append((j, cc, members))
-            start = i
-    return out
+    order = np.lexsort(keys.T[::-1])  # stable; level first, then coords
+    keys = keys[order]
+    # A cell starts wherever the sorted (level, coords) key changes.
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    members = np.split(idx[order], starts[1:])
+    return [
+        (int(keys[s, 0]), tuple(keys[s, 1:].tolist()), m)
+        for s, m in zip(starts, members)
+    ]
 
 
 def enumerate_cells(

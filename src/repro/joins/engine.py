@@ -47,8 +47,9 @@ class Engine(ABC):
         """Add a constant column."""
 
     @abstractmethod
-    def multiply_into(self, df, target: str, factor: str):
-        """target := target * factor, dropping ``factor``."""
+    def multiply_into(self, df, target: str, factor: str, divisor: str | None = None):
+        """target := target * factor, or target * (factor div divisor) — an
+        exact integer division — dropping ``factor`` and ``divisor``."""
 
     @abstractmethod
     def rename(self, df, mapping: Mapping[str, str]):
@@ -71,10 +72,6 @@ class Engine(ABC):
         """SUM(col) over all rows (0.0 for an empty frame)."""
 
     @abstractmethod
-    def count(self, df) -> int:
-        """Number of rows."""
-
-    @abstractmethod
     def minmax(self, df, cols: Sequence[str]) -> dict[str, tuple[float, float]]:
         """Per-column (min, max); NaN bounds for an empty frame."""
 
@@ -83,6 +80,9 @@ class Engine(ABC):
         """Mark for reuse (no-op on pandas)."""
 
     @abstractmethod
+    def unpersist(self, df) -> None:
+        """Drop what :meth:`cache` kept of ``df`` (no-op on pandas)."""
+
     def weighted_pick(
         self,
         tuples_df,
@@ -99,25 +99,36 @@ class Engine(ABC):
         probability proportional to ``weight_col`` using ``__u`` (inverse-CDF).
         Returns pandas ``['__sid'] + out_cols``. This is the top-down step of
         uniform sampling over join results (Zhao et al. style).
+
+        Both engines collect the O(N) tuples and pick on the driver. Sorting
+        on every used column makes key groups contiguous and the picks
+        independent of row order; one global cumsum serves every group.
         """
+        key_cols, out_cols = list(key_cols), list(out_cols)
+        empty = pd.DataFrame(columns=["__sid", *out_cols])
+        if len(requests) == 0:
+            return empty
+        cols = list(dict.fromkeys([*key_cols, *out_cols, weight_col]))
+        t = self.to_pandas(self.project(tuples_df, cols))
+        if len(t) == 0:
+            return empty
+        t = t.sort_values(cols, kind="mergesort", ignore_index=True)
+        starts = np.flatnonzero(np.diff(t.groupby(key_cols, sort=False).ngroup(), prepend=-1))
+        ends = np.append(starts[1:], len(t))
+        cum = np.cumsum(t[weight_col].to_numpy())
+        groups = t.loc[starts, key_cols].assign(__g=np.arange(len(starts)))
+        reqs = requests[[*key_cols, "__sid", "__u"]].merge(groups, on=key_cols, how="inner")
+        g = reqs["__g"].to_numpy()
+        lo = np.where(starts > 0, cum[starts - 1], 0)[g]
+        target = lo + reqs["__u"].to_numpy(dtype=np.float64) * (cum[ends - 1][g] - lo)
+        idx = np.clip(np.searchsorted(cum, target, side="right"), starts[g], ends[g] - 1)
+        out = t.loc[idx, out_cols].reset_index(drop=True)
+        out.insert(0, "__sid", reqs["__sid"].to_numpy())
+        return out
 
     @abstractmethod
     def assign_nearest(self, df, cols: Sequence[str], centers: np.ndarray, out: str):
         """Add column ``out`` = index of nearest center (Euclidean) over ``cols``."""
-
-
-def _pick_rows(
-    grp: pd.DataFrame, reqs: pd.DataFrame, weight_col: str, out_cols: Sequence[str]
-) -> pd.DataFrame:
-    """Inverse-CDF pick of one ``grp`` row per ``reqs`` row (shared key group)."""
-    w = grp[weight_col].to_numpy(dtype=np.float64)
-    cum = np.cumsum(w)
-    total = cum[-1]
-    idx = np.searchsorted(cum, reqs["__u"].to_numpy(dtype=np.float64) * total, side="right")
-    idx = np.minimum(idx, len(grp) - 1)
-    out = grp.iloc[idx][list(out_cols)].reset_index(drop=True)
-    out.insert(0, "__sid", reqs["__sid"].to_numpy())
-    return out
 
 
 class LocalEngine(Engine):
@@ -152,10 +163,11 @@ class LocalEngine(Engine):
         out[col] = value
         return out
 
-    def multiply_into(self, df, target, factor):
+    def multiply_into(self, df, target, factor, divisor=None):
         out = df.copy()
-        out[target] = out[target] * out[factor]
-        return out.drop(columns=[factor])
+        f = out[factor] if divisor is None else out[factor] // out[divisor]
+        out[target] = out[target] * f
+        return out.drop(columns=[c for c in (factor, divisor) if c])
 
     def rename(self, df, mapping):
         return df.rename(columns=dict(mapping))
@@ -174,29 +186,14 @@ class LocalEngine(Engine):
     def sum_col(self, df, col):
         return float(df[col].sum()) if len(df) else 0.0
 
-    def count(self, df):
-        return int(len(df))
-
     def minmax(self, df, cols):
         return {c: (float(df[c].min()), float(df[c].max())) for c in cols}
 
     def cache(self, df):
         return df
 
-    def weighted_pick(self, tuples_df, key_cols, weight_col, requests, out_cols):
-        if len(requests) == 0 or len(tuples_df) == 0:
-            return pd.DataFrame(columns=["__sid", *out_cols])
-        key_cols = list(key_cols)
-        pieces = []
-        groups = dict(iter(tuples_df.groupby(key_cols)))
-        for key, reqs in requests.groupby(key_cols):
-            grp = groups.get(key)
-            if grp is None:
-                continue
-            pieces.append(_pick_rows(grp, reqs, weight_col, out_cols))
-        if not pieces:
-            return pd.DataFrame(columns=["__sid", *out_cols])
-        return pd.concat(pieces, ignore_index=True)
+    def unpersist(self, df):
+        pass
 
     def assign_nearest(self, df, cols, centers, out):
         res = df.copy()
@@ -244,10 +241,11 @@ class SparkEngine(Engine):
 
         return df.withColumn(col, F.lit(value))
 
-    def multiply_into(self, df, target, factor):
+    def multiply_into(self, df, target, factor, divisor=None):
         from pyspark.sql import functions as F
 
-        return df.withColumn(target, F.col(target) * F.col(factor)).drop(factor)
+        f = F.col(factor) if divisor is None else F.expr(f"`{factor}` div `{divisor}`")
+        return df.withColumn(target, F.col(target) * f).drop(*[c for c in (factor, divisor) if c])
 
     def rename(self, df, mapping):
         for old, new in mapping.items():
@@ -276,9 +274,6 @@ class SparkEngine(Engine):
         row = df.agg(F.sum(col).alias("s")).collect()[0]
         return float(row["s"]) if row["s"] is not None else 0.0
 
-    def count(self, df):
-        return int(df.count())
-
     def minmax(self, df, cols):
         from pyspark.sql import functions as F
 
@@ -297,35 +292,8 @@ class SparkEngine(Engine):
     def cache(self, df):
         return df.cache()
 
-    def weighted_pick(self, tuples_df, key_cols, weight_col, requests, out_cols):
-        import pyspark.sql.types as T
-
-        if len(requests) == 0:
-            return pd.DataFrame(columns=["__sid", *out_cols])
-        key_cols = list(key_cols)
-        out_cols = list(out_cols)
-        weight = weight_col
-        # Align request key dtypes with the Spark side before createDataFrame.
-        reqs_sdf = self.from_pandas(requests[[*key_cols, "__sid", "__u"]])
-        for kc in key_cols:
-            reqs_sdf = reqs_sdf.withColumn(kc, reqs_sdf[kc].cast(tuples_df.schema[kc].dataType))
-        right = tuples_df.select(*key_cols, weight, *[c for c in out_cols if c not in key_cols])
-        schema = T.StructType(
-            [T.StructField("__sid", T.LongType())]
-            + [right.schema[c] for c in out_cols]
-        )
-
-        def pick(left: pd.DataFrame, grp: pd.DataFrame) -> pd.DataFrame:
-            if len(left) == 0 or len(grp) == 0:
-                return pd.DataFrame(columns=["__sid", *out_cols])
-            return _pick_rows(grp, left, weight, out_cols)
-
-        res = (
-            reqs_sdf.groupBy(*key_cols)
-            .cogroup(right.groupBy(*key_cols))
-            .applyInPandas(pick, schema=schema)
-        )
-        return res.toPandas()
+    def unpersist(self, df):
+        df.unpersist()
 
     def assign_nearest(self, df, cols, centers, out):
         from pyspark.sql import functions as F

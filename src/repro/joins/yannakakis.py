@@ -7,19 +7,23 @@ production), and never materializes the join result:
 - ``subtree_counts``: bottom-up counting DP; node tuple t gets ``__cnt`` =
   number of join results of the subtree below t. At the root this yields the
   per-root-tuple counts c(h) of Algorithm 3 and the total |q(D)|.
+- ``multiplicities``: the up–down ("all marginals") pass — every tuple of
+  every relation gets its full-join multiplicity; a leaf projection H_u is
+  one group-by of these frames, and they weight the sampler.
 - ``grouped_counts``: the counting DP additionally grouped by carried columns
   (used by the Rk-means baseline to weight grid cells relationally).
 - ``sample_join``: uniform sampling of z join results with replacement —
-  weighted root pick, then top-down per-key weighted picks (Lemma 2.1's
-  SampleRect machinery, Zhao et al. style).
+  weighted root pick, then one driver-side per-key pick per tree edge
+  (Lemma 2.1's SampleRect machinery, Zhao et al. style).
 
-``RelQuery`` packages a query instance (tree + tables) with caching and the
-rectangle variants CountRect / SampleRect (box filter on every relation,
-re-reduce, re-run the DP).
+``RelQuery`` packages a query instance (tree + tables) with the rectangle
+variants CountRect / SampleRect (box filter on every relation, re-reduce,
+re-run the DP).
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -59,6 +63,24 @@ def subtree_counts(
             df = engine.multiply_into(df, CNT, f"__cnt_{c}")
         counts[u] = df
     return counts
+
+
+def multiplicities(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> dict[str, object]:
+    """Up–down pass: ``__cnt`` per tuple of every relation = #join results
+    it takes part in. Top-down from the root's subtree counts, a child c of
+    u on key κ gets mult(t) = up(t) · (Σ_{s∈u, s.κ=t.κ} mult(s) div
+    Σ_{t'∈c, t'.κ=t.κ} up(t')): exact, as that sum divides every such up(s),
+    and no value exceeds |q(D)|."""
+    up = subtree_counts(engine, tree, dfs)
+    out = {tree.root: up[tree.root]}
+    for u in reversed(tree.postorder()):  # preorder: parents before children
+        for c in tree.children[u]:
+            jk = tree.join_attrs(c, u)
+            num = engine.groupby_sum(out[u], jk, CNT, "__num")
+            den = engine.groupby_sum(up[c], jk, CNT, "__den")
+            df = engine.join(engine.join(up[c], num, on=jk), den, on=jk)
+            out[c] = engine.multiply_into(df, CNT, "__num", "__den")
+    return out
 
 
 def total_count(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> int:
@@ -110,30 +132,28 @@ def sample_join(
     z: int,
     rng: np.random.Generator,
     attrs: Sequence[str] | None = None,
+    counts: Mapping[str, object] | None = None,
 ) -> pd.DataFrame:
     """z uniform (with replacement) samples from q(D), never materializing it.
 
-    Requires every relation to carry a unique ``__rid`` column. Root tuples
-    are drawn proportionally to their subtree counts (the per-relation
-    (rid, count) vector is O(N) and collected to the driver, which is within
-    the paper's O(N)-memory model); descent uses per-key weighted picks
-    executed with cogrouped applyInPandas on Spark.
+    Requires a unique ``__rid`` per relation. ``counts`` (default: fresh
+    ``subtree_counts``; ``multiplicities`` works too, being proportional to
+    them within each key group) weight the picks. The O(N) root frame is
+    collected once and ordered by ``__rid``, so the pool depends only on
+    ``rng``; descent is one ``engine.weighted_pick`` per tree edge.
     """
     if z <= 0:
         return pd.DataFrame(columns=list(attrs or []))
-    counts = subtree_counts(engine, tree, dfs)
+    counts = counts or subtree_counts(engine, tree, dfs)
     root = tree.root
-    root_w = engine.to_pandas(engine.project(counts[root], [RID, CNT]))
-    if len(root_w) == 0:
+    roots = engine.to_pandas(engine.project(counts[root], [*engine.columns(dfs[root]), CNT]))
+    if len(roots) == 0:
         return pd.DataFrame(columns=list(attrs or []))
-    w = root_w[CNT].to_numpy(dtype=np.float64)
-    picked_rids = rng.choice(root_w[RID].to_numpy(), size=z, p=w / w.sum())
-    sel = pd.DataFrame({RID: picked_rids, "__sid": np.arange(z, dtype=np.int64)})
-    root_cols = [c for c in engine.columns(dfs[root]) if c != RID]
-    root_rows = engine.to_pandas(
-        engine.join(engine.from_pandas(sel), engine.project(counts[root], [RID, *root_cols]), on=[RID])
-    )
-    cur = root_rows.drop(columns=[RID])
+    roots = roots.sort_values(RID, ignore_index=True)
+    w = roots[CNT].to_numpy(dtype=np.float64)
+    picked = rng.choice(len(roots), size=z, p=w / w.sum())
+    cur = roots.iloc[picked].drop(columns=[RID, CNT]).reset_index(drop=True)
+    cur["__sid"] = np.arange(z, dtype=np.int64)
 
     def descend(node: str, cur: pd.DataFrame) -> pd.DataFrame:
         for c in tree.children[node]:
@@ -183,21 +203,27 @@ class RelQuery:
             self._n = total_count(self.engine, self.tree, self.dfs)
         return self._n
 
-    def root_counts(self, root_rel: str):
-        """Engine frame of the tuples of ``root_rel`` with c(h) = ``__cnt``."""
-        tree = self.tree.rerooted(root_rel)
-        return subtree_counts(self.engine, tree, self.dfs)[root_rel]
+    @contextmanager
+    def multiplicities(self) -> Iterator[dict[str, object]]:
+        """The up–down ``multiplicities`` frames, cached only inside the block."""
+        counts = multiplicities(self.engine, self.tree, self.dfs)
+        counts = {name: self.engine.cache(df) for name, df in counts.items()}
+        try:
+            yield counts
+        finally:
+            for df in counts.values():
+                self.engine.unpersist(df)
 
-    def leaf_weights(self, attr: str):
+    def leaf_weights(self, attr: str, counts: Mapping[str, object] | None = None):
         """Weighted 1-D projection H_u of q(D) on ``attr`` (Algorithm 3 leaf).
 
         Returns an engine frame (value, weight): weight = multiplicity of the
-        value in the multiset projection, via the counting DP re-rooted at a
-        relation containing ``attr``.
+        value in the multiset projection: a group-by over the up–down
+        ``counts`` (default: fresh) of a relation containing ``attr``.
         """
+        counts = counts or multiplicities(self.engine, self.tree, self.dfs)
         rel = self.tree.relation_with_attr(attr)
-        rc = self.root_counts(rel)
-        agg = self.engine.groupby_sum(rc, [attr], CNT, "weight")
+        agg = self.engine.groupby_sum(counts[rel], [attr], CNT, "weight")
         return self.engine.rename(agg, {attr: "value"})
 
     def feature_bounds(self) -> dict[str, tuple[float, float]]:
@@ -212,10 +238,11 @@ class RelQuery:
         return self._bounds
 
     # -- sampling ---------------------------------------------------------
-    def sample(self, z: int, rng: np.random.Generator, attrs: Sequence[str] | None = None) -> pd.DataFrame:
+    def sample(self, z: int, rng: np.random.Generator, attrs: Sequence[str] | None = None,
+               counts: Mapping[str, object] | None = None) -> pd.DataFrame:
         """z uniform samples of q(D) projected to ``attrs`` (default: features)."""
         attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
-        return sample_join(self.engine, self.tree, self.dfs, z, rng, attrs)
+        return sample_join(self.engine, self.tree, self.dfs, z, rng, attrs, counts)
 
     # -- rectangle queries (Lemma 2.1) ------------------------------------
     def _filtered(

@@ -65,6 +65,12 @@ class TestLocalOps:
         assert out["w"].tolist() == [2.0, 4.0, 6.0, 8.0]
         assert "c" not in out.columns
 
+    def test_multiply_into_exact_division(self, eng):
+        df = pd.DataFrame({"t": [3, 5], "f": [12, 20], "d": [4, 5]})
+        out = eng.multiply_into(df, "t", "f", "d")
+        assert out["t"].tolist() == [9, 20]
+        assert list(out.columns) == ["t"]
+
     def test_rename(self, eng):
         out = eng.rename(sample_df(), {"v": "value"})
         assert "value" in out.columns and "v" not in out.columns
@@ -79,9 +85,6 @@ class TestLocalOps:
     def test_sum_col(self, eng):
         assert eng.sum_col(sample_df(), "w") == 10.0
         assert eng.sum_col(sample_df().iloc[:0], "w") == 0.0
-
-    def test_count(self, eng):
-        assert eng.count(sample_df()) == 4
 
     def test_minmax(self, eng):
         got = eng.minmax(sample_df(), ["v", "w"])
@@ -120,9 +123,15 @@ class TestSparkOps:
         got = dict(zip(out["k"], out["total"]))
         assert got == {1: 3.0, 2: 3.0, 3: 4.0}
 
+    def test_multiply_into_exact_division(self, se):
+        df = se.from_pandas(pd.DataFrame({"t": [3, 5], "f": [12, 20], "d": [4, 5]}))
+        out = se.to_pandas(se.multiply_into(df, "t", "f", "d")).sort_values("t")
+        assert out["t"].tolist() == [9, 20]
+        assert list(out.columns) == ["t"]
+
     def test_semijoin_no_duplication(self, se, sdf):
         b = se.from_pandas(pd.DataFrame({"k": [1, 1, 9]}))
-        assert se.count(se.semijoin(sdf, b, ["k"])) == 2
+        assert len(se.to_pandas(se.semijoin(sdf, b, ["k"]))) == 2
 
     def test_add_row_id_stable_across_actions(self, se, sdf):
         withid = se.add_row_id(sdf, "rid")

@@ -95,6 +95,24 @@ class TestSnapping:
         levels = [j for j, _, _ in cells]
         assert levels == sorted(levels)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_candidate_cells_match_dict_grouping(self, d, seed):
+        """Same cells, order and member arrays as grouping points in a dict."""
+        g = np.random.default_rng(seed)
+        p = params(phi=0.05, d=d)
+        x = g.normal(size=d)
+        P = g.normal(size=(300, d))
+        idx = g.permutation(len(P))[:200]
+        levels, coords = snap_points(x, P[idx], p, j_cap=6)
+        groups: dict[tuple, list[int]] = {}
+        for i, j, cc in zip(idx, levels, coords):
+            groups.setdefault((int(j), tuple(int(c) for c in cc)), []).append(int(i))
+        expect = [(j, cc, groups[(j, cc)]) for j, cc in sorted(groups)]
+        got = candidate_cells_from_points(x, P, idx, p, j_cap=6)
+        assert [(j, cc, m.tolist()) for j, cc, m in got] == expect
+        assert all(m.dtype == idx.dtype for _, _, m in got)
+
     def test_empty_index(self):
         assert (
             candidate_cells_from_points(

@@ -138,6 +138,17 @@ class TestApi:
         res = rel_kmeans(chain_small, 2, pool_size=1500, seed=0)
         assert res.centers.shape[0] == 2
 
+    @pytest.mark.parametrize("api", [rel_kmedian, rel_kmeans])
+    def test_empty_join_is_a_defined_error(self, local, api):
+        from repro.joins.yannakakis import RelQuery
+        from tests.test_yannakakis_local import random_instance
+
+        tree, tables = random_instance(0)
+        tables["C"] = tables["C"].assign(y=999_999)  # no C tuple joins
+        Q = RelQuery(local, tree, tables)
+        with pytest.raises(ValueError, match="join is empty"):
+            api(Q, 2, seed=0)
+
     def test_invalid_method(self, chain_small):
         with pytest.raises(ValueError):
             relational_cluster(chain_small, 2, method="nope")

@@ -1,9 +1,10 @@
-"""Uniform join sampling and the Lemma 2.1 rectangle queries (local engine)."""
+"""Uniform join sampling, the Lemma 2.1 rectangle queries (local engine) and
+the weighted-pick engine op on both engines."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.joins.engine import LocalEngine
+from repro.joins.engine import LocalEngine, SparkEngine
 from repro.joins.yannakakis import RelQuery
 from tests.conftest import brute_force_join
 from tests.test_yannakakis_local import random_instance
@@ -161,3 +162,50 @@ class TestWeightedPickEngineOp:
         tuples = pd.DataFrame({"k": [], "v": [], "w": []})
         reqs = pd.DataFrame({"k": [], "__sid": [], "__u": []})
         assert len(eng.weighted_pick(tuples, ["k"], "w", reqs, ["v"])) == 0
+        reqs = pd.DataFrame({"k": [1], "__sid": [0], "__u": [0.5]})
+        assert len(eng.weighted_pick(tuples, ["k"], "w", reqs, ["v"])) == 0
+
+    def test_matches_per_group_loop(self, eng):
+        """The vectorized pick equals an inverse-CDF loop over key groups,
+        whatever order the tuples arrive in."""
+        g = np.random.default_rng(5)
+        tuples = pd.DataFrame(
+            {"k": g.integers(0, 5, 200), "v": g.random(200), "w": g.integers(1, 9, 200)}
+        )
+        reqs = pd.DataFrame(
+            {"k": g.integers(0, 6, 300), "__sid": np.arange(300), "__u": g.random(300)}
+        )
+        expect = []
+        ordered = tuples.sort_values(["k", "v", "w"], ignore_index=True)
+        for sid, k, u in zip(reqs["__sid"], reqs["k"], reqs["__u"]):
+            grp = ordered[ordered["k"] == k]
+            if len(grp):
+                cum = np.cumsum(grp["w"].to_numpy())
+                i = min(np.searchsorted(cum, u * cum[-1], side="right"), len(grp) - 1)
+                expect.append((sid, grp["v"].iloc[i]))
+        got = eng.weighted_pick(tuples.sample(frac=1, random_state=1), ["k"], "w", reqs, ["v"])
+        assert list(zip(got["__sid"], got["v"])) == expect
+
+
+class TestWeightedPickSparkEngine(TestWeightedPickEngineOp):
+    """The same contract through SparkEngine, which collects the tuples and
+    then runs the shared driver-side pick."""
+
+    @pytest.fixture
+    def eng(self, spark):
+        return _LiftTuples(SparkEngine(spark))
+
+
+class _LiftTuples:
+    """Hands the pandas test tuples to a Spark engine as a DataFrame."""
+
+    def __init__(self, engine: SparkEngine):
+        self.engine = engine
+
+    def weighted_pick(self, tuples, key_cols, weight_col, requests, out_cols):
+        if len(tuples):
+            sdf = self.engine.from_pandas(tuples)
+        else:  # Spark cannot infer a schema from no rows
+            ddl = ", ".join(f"{c} double" for c in tuples.columns)
+            sdf = self.engine.spark.createDataFrame([], schema=ddl)
+        return self.engine.weighted_pick(sdf, key_cols, weight_col, requests, out_cols)

@@ -1,13 +1,14 @@
 """Spark engine: substrate correctness against the DuckDB oracle and the
 local (pandas) engine. These exercise the real DataFrame/Catalyst path —
-shuffle joins (broadcast disabled in conftest), groupBy aggregations, and
-cogrouped applyInPandas sampling."""
+shuffle joins (broadcast disabled in conftest), groupBy aggregations, the
+up–down multiplicity pass and the collect-then-pick sampler."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.joins.engine import LocalEngine, SparkEngine
+from repro.joins.yannakakis import CNT
 from repro.oracle import assert_equivalent
 from repro.workloads import chain_query, star_query
 
@@ -84,6 +85,17 @@ class TestSparkLocalParity:
         b = lq.engine.to_pandas(lq.leaf_weights("x2")).sort_values("value").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
+    def test_multiplicities(self, sq, lq):
+        """Per-tuple up–down counts agree; each relation sums to |q(D)|."""
+        n = lq.total_count()
+        with sq.multiplicities() as sc, lq.multiplicities() as lc:
+            for name, rel in lq.tree.relations.items():
+                cols = [*rel.attrs, CNT]
+                a = sq.engine.to_pandas(sc[name])[cols].sort_values(cols, ignore_index=True)
+                b = lq.engine.to_pandas(lc[name])[cols].sort_values(cols, ignore_index=True)
+                pd.testing.assert_frame_equal(a, b, check_dtype=False)
+                assert a[CNT].sum() == n
+
     def test_feature_bounds(self, sq, lq):
         a, b = sq.feature_bounds(), lq.feature_bounds()
         for f in ["x1", "x2", "x3"]:
@@ -114,6 +126,23 @@ class TestSparkSampling:
         real = joined[["x1", "x2", "x3"]].drop_duplicates()
         merged = s.drop_duplicates().merge(real, on=["x1", "x2", "x3"], how="left", indicator=True)
         assert (merged["_merge"] == "both").all()
+
+    def test_same_seed_same_pool(self, sq):
+        a = sq.sample(500, np.random.default_rng(7))
+        b = sq.sample(500, np.random.default_rng(7))
+        pd.testing.assert_frame_equal(a, b)
+
+    def test_pool_matches_local_engine(self, sq, lq):
+        """The pool depends only on the seed, not on the engine's row order."""
+        with sq.multiplicities() as sc, lq.multiplicities() as lc:
+            a = sq.sample(500, np.random.default_rng(3), counts=sc)
+            b = lq.sample(500, np.random.default_rng(3), counts=lc)
+        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        pd.testing.assert_frame_equal(
+            sq.sample(300, np.random.default_rng(4)),
+            lq.sample(300, np.random.default_rng(4)),
+            check_dtype=False,
+        )
 
     def test_sample_rect_respects_box(self, sq):
         box = {"x1": (0.2, 0.8), "x3": (0.0, 0.5)}

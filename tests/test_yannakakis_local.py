@@ -107,6 +107,57 @@ class TestCounting:
         assert total_count(eng, tree, reduced) == 0
 
 
+def per_tuple_join_counts(tree: JoinTree, dfs: dict) -> dict[str, pd.Series]:
+    """Brute force: #join results each tuple (by ``__rid``) takes part in."""
+    cur = None
+    for u in reversed(tree.postorder()):
+        df = dfs[u].rename(columns={RID: f"rid_{u}"})
+        if cur is None:
+            cur = df
+        else:
+            jk = list(tree.join_attrs(u, tree.parent[u]))
+            new = [c for c in df.columns if c in jk or c not in cur.columns]
+            cur = cur.merge(df[new], on=jk, how="inner")
+    return {u: cur.groupby(f"rid_{u}").size() for u in tree.relations}
+
+
+def assert_multiplicities_exact(eng, Q) -> None:
+    expect = per_tuple_join_counts(Q.tree, Q.dfs)
+    with Q.multiplicities() as counts:
+        for name in Q.tree.relations:
+            got = eng.to_pandas(counts[name]).set_index(RID)[CNT].sort_index()
+            # Every reduced tuple joins, so brute force sees every rid.
+            pd.testing.assert_series_equal(
+                got, expect[name].sort_index(), check_names=False, check_dtype=False
+            )
+            assert got.sum() == Q.total_count()
+
+
+class TestMultiplicities:
+    @pytest.mark.parametrize("root", ["A", "B", "C"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_tuple_matches_brute_force(self, eng, seed, root):
+        tree, tables = random_instance(seed)
+        assert_multiplicities_exact(eng, RelQuery(eng, tree.rerooted(root), tables))
+
+    def test_duplicate_tuples_counted_separately(self, eng):
+        tree, tables = random_instance(1)
+        tables["A"] = pd.concat([tables["A"], tables["A"].iloc[:10]], ignore_index=True)
+        assert_multiplicities_exact(eng, RelQuery(eng, tree, tables))
+
+    def test_ghd_cycle4(self, eng):
+        from repro.workloads import cycle4_query
+
+        assert_multiplicities_exact(eng, cycle4_query(eng, n=150, n_keys=8, seed=3))
+
+    def test_empty_join(self, eng):
+        tree, tables = random_instance(0)
+        tables["C"] = tables["C"].assign(y=999_999)
+        Q = RelQuery(eng, tree, tables)
+        with Q.multiplicities() as counts:
+            assert all(len(eng.to_pandas(df)) == 0 for df in counts.values())
+
+
 class TestRelQuery:
     @pytest.mark.parametrize("seed", range(4))
     def test_total_count(self, eng, seed):
