@@ -1,14 +1,28 @@
-"""Shared SparkSession builder for the spark-submit entrypoints in jobs/.
+"""The one Spark bootstrap, shared by the spark-submit entrypoints in jobs/
+and by the test suite (``conftest.py`` imports this module first).
 
-When launched with plain ``python jobs/<job>.py``, the driver JVM has not
-started yet, so the driver memory must go into PYSPARK_SUBMIT_ARGS before any
-pyspark import — same bootstrap as conftest.py. Under ``spark-submit`` these
-env vars are ignored and the usual ``--driver-memory`` flag applies.
+When launched with plain ``python jobs/<job>.py`` or under pytest, the
+driver JVM has not started yet, so the driver memory must go into
+PYSPARK_SUBMIT_ARGS before any pyspark import — importing this module does
+that. Under ``spark-submit`` these env vars are ignored and the usual
+``--driver-memory`` flag applies.
 """
 import os
 
 
 def _driver_mem() -> str:
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
+    imported anywhere.
+
+    The cgroup read is best-effort: a sandbox such as gVisor may emulate
+    sysfs without passing the host limit through. An unbounded value
+    (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit) is
+    treated as absent so the JVM is never handed an impossible heap.
+    """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
     for p in (
@@ -20,11 +34,13 @@ def _driver_mem() -> str:
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
                 continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 
 
@@ -39,18 +55,26 @@ os.environ.setdefault(
 )
 
 
-def get_spark():
+def spark_builder(app: str):
+    """A SparkSession builder with the per-session configs that *are*
+    honoured after JVM launch (shuffle partitions, Arrow, broadcast
+    threshold). Broadcast joins are disabled so the join algorithms
+    exercise the shuffle path at small scale; a query that wants a
+    broadcast join sets the threshold back for itself."""
     from pyspark.sql import SparkSession
 
-    s = (
-        SparkSession.builder.appName("repro-job")
+    return (
+        SparkSession.builder.appName(app)
         .config(
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
     )
+
+
+def get_spark():
+    s = spark_builder("repro-job").getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.clustering import cluster
 from repro.clustering.cost import assign
-from repro.clustering.kmeans import pp_init
+from repro.clustering.lloyd import pp_init
 from repro.core.coreset_fast import Coreset
 from repro.joins.yannakakis import RelQuery
 

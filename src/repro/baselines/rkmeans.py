@@ -4,8 +4,9 @@ Per relation R_j: run k-means on its feature columns → k_j centers. The grid
 coreset is the cross product of the per-relation center sets (≤ k^m points in
 the full feature space); the weight of a grid point is the number of join
 results whose per-relation projections are assigned to that center
-combination. The weights are computed **relationally** with the counting DP
-carrying the assigned-center id columns (``grouped_counts``) — no join
+combination. The weights are computed **relationally** by the one counting
+DP, ``subtree_counts`` with the assigned-center id columns as ``carry``,
+grouped by those ids at the root (``grouped_counts``) — no join
 materialization. A standard weighted k-means on the grid gives the final
 centers, with the paper-reported γ² + 4γ√γ + 4γ approximation factor.
 """

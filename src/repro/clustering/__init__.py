@@ -1,21 +1,6 @@
 """Standard-setting clustering algorithms (the paper's GkMedianAlg_γ /
 GkMeansAlg_γ / Dk*Alg_γ black boxes) over small weighted point sets."""
 from repro.clustering.cost import weighted_cost
-from repro.clustering.kmeans import weighted_kmeans
-from repro.clustering.kmedian import weighted_kmedian
+from repro.clustering.lloyd import cluster
 
-__all__ = ["weighted_cost", "weighted_kmeans", "weighted_kmedian"]
-
-
-def cluster(points, weights, k, objective, *, discrete=False, rng=None, **kw):
-    """Dispatch to the γ-approximation black box for ``objective``.
-
-    objective: "median" (sum of distances) or "means" (sum of squares).
-    Returns (centers (k', d), cost) with k' ≤ k (fewer if fewer distinct
-    points exist).
-    """
-    if objective == "median":
-        return weighted_kmedian(points, weights, k, discrete=discrete, rng=rng, **kw)
-    if objective == "means":
-        return weighted_kmeans(points, weights, k, discrete=discrete, rng=rng, **kw)
-    raise ValueError(f"unknown objective {objective!r}")
+__all__ = ["cluster", "weighted_cost"]

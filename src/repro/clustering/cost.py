@@ -6,31 +6,28 @@ import numpy as np
 _CHUNK = 262_144
 
 
-def _min_dists(P: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Distance from each point in P (n, d) to its nearest center in C (k, d).
+def _nearest(P: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and distance to, the nearest center in C (k, d) for each
+    point in P (n, d).
 
     Chunked so n × k distance matrices never exceed a few hundred MB.
     """
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-    out = np.empty(len(P), dtype=np.float64)
+    idx = np.empty(len(P), dtype=np.int64)
+    dist = np.empty(len(P), dtype=np.float64)
     for s in range(0, len(P), _CHUNK):
         blk = P[s : s + _CHUNK]
         d2 = ((blk[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        out[s : s + _CHUNK] = np.sqrt(d2.min(axis=1))
-    return out
+        near = d2.argmin(axis=1)
+        idx[s : s + _CHUNK] = near
+        dist[s : s + _CHUNK] = np.sqrt(np.take_along_axis(d2, near[:, None], axis=1)[:, 0])
+    return idx, dist
 
 
 def assign(P: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Index of the nearest center for each point."""
-    P = np.atleast_2d(np.asarray(P, dtype=np.float64))
-    C = np.atleast_2d(np.asarray(C, dtype=np.float64))
-    out = np.empty(len(P), dtype=np.int64)
-    for s in range(0, len(P), _CHUNK):
-        blk = P[s : s + _CHUNK]
-        d2 = ((blk[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
-        out[s : s + _CHUNK] = d2.argmin(axis=1)
-    return out
+    return _nearest(P, C)[0]
 
 
 def weighted_cost(P, C, weights=None, objective: str = "median") -> float:
@@ -38,7 +35,7 @@ def weighted_cost(P, C, weights=None, objective: str = "median") -> float:
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     if len(P) == 0:
         return 0.0
-    d = _min_dists(P, C)
+    d = _nearest(P, C)[1]
     if objective == "means":
         d = d**2
     elif objective != "median":

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.clustering import cluster
-from repro.geometry.boxes import dist_points_boxes
-from repro.geometry.grid import GridParams, candidate_cells_from_points, cell_box
+from repro.geometry.grid import GridParams, candidate_cells_from_points, cell_box, condition3
 
 
 @dataclass
@@ -96,10 +95,7 @@ def build_coreset_fast(
         boxes = [cell_box(X[i], j, cc, params) for j, cc, _ in cells]
         los = np.asarray([b.lo for b in boxes])
         his = np.asarray([b.hi for b in boxes])
-        # Condition (3): φ(x_i, □) ≤ φ(X, □) + diam(□), vectorized over cells.
-        dists = dist_points_boxes(X, los, his)  # (m_centers, n_cells)
-        diams = np.sqrt(((his - los) ** 2).sum(axis=1))
-        ok = dists[i] <= dists.min(axis=0) + diams
+        ok = condition3(X, i, los, his)
         for c_idx, (j, cc, members) in enumerate(cells):
             n_cells += 1
             if not ok[c_idx]:

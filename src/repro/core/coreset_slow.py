@@ -1,8 +1,9 @@
 """Algorithm 1 — RelClusteringSlow: deterministic coreset from many centers.
 
 The faithful path: enumerate every grid cell (not just sampled ones), check
-condition (3), decompose □ \\ G into disjoint hyper-rectangles with the
-arrangement complement (``subtract_many``), count each piece *exactly* with
+condition (3) (``grid.condition3``, once per level), decompose □ \\ G into
+disjoint hyper-rectangles with the arrangement complement
+(``subtract_many``), count each piece *exactly* with
 CountRect (the Yannakakis counting DP over the box-filtered database), and
 take a representative via SampleRect. Exponential in d_u by nature — used at
 small scale and as ground truth for the fast path.
@@ -14,7 +15,7 @@ import numpy as np
 from repro.clustering import cluster
 from repro.core.coreset_fast import Coreset, phi_scale
 from repro.geometry.boxes import Box, dist_point_box, subtract_many
-from repro.geometry.grid import GridParams, enumerate_cells
+from repro.geometry.grid import GridParams, condition3, enumerate_cells
 from repro.joins.yannakakis import RelQuery
 
 
@@ -60,16 +61,16 @@ def build_coreset_slow(
             if dist_point_box(X[i], bbox) > params.half_extent(j) * np.sqrt(d):
                 continue
             cells = enumerate_cells(X[i], j, params, bbox, max_cells=max_cells)
-            for box in cells:
+            los = np.reshape([b.lo for b in cells], (-1, d))
+            his = np.reshape([b.hi for b in cells], (-1, d))
+            for box, passes in zip(cells, condition3(X, i, los, his)):
                 n_cells += 1
                 if n_cells > max_cells:
                     raise RuntimeError(
                         f"Algorithm 1 exceeded max_cells={max_cells}; "
                         "reduce d_u / levels or raise the cap"
                     )
-                di = dist_point_box(X[i], box)
-                dmin = min(dist_point_box(c, box) for c in X)
-                if di > dmin + box.diam:  # condition (3) fails — skip
+                if not passes:  # condition (3) fails — skip
                     continue
                 n_processed += 1
                 overlapping = [g for g in G if box.intersect(g) is not None]

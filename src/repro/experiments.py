@@ -32,6 +32,27 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def _scored(P, objective: str, runs, n_ref: int, cost_fj: float, k: int, n: int) -> list[dict]:
+    """One table row per (method, centers, seconds) run: its exact cost on
+    the materialized join ``P`` and its ratio to the best known cost — the
+    least of the full-join clusterer's ``cost_fj`` and the first ``n_ref``
+    runs' costs."""
+    costs = [exact_cost(P, S, objective) for _, S, _ in runs]
+    best = min(cost_fj, *costs[:n_ref])
+    return [
+        {
+            "method": name,
+            "k": k,
+            "cost": c,
+            "ratio_vs_best": c / best,
+            "seconds": t,
+            "n_per_rel": n,
+            "join_size": len(P),
+        }
+        for (name, _, t), c in zip(runs, costs)
+    ]
+
+
 def build_chain(engine: Engine, n: int, seed: int = 0) -> RelQuery:
     """The standard benchmark instance: N tuples/relation, N/10 keys."""
     return chain_query(engine, n=n, n_keys=max(10, n // 10), seed=seed)
@@ -62,24 +83,12 @@ def kmedian_table(
         (S_fj, cost_fj, info), t_fj = _timed(
             lambda: full_join_cluster(Q, k, "median", seed=seed)
         )
-        best = min(cost_fj, exact_cost(P, res.centers, "median"))
-        for name, S, t in [
+        runs = [
             ("NEW (rand, geometric)", res.centers, t_new),
             ("NEW (rand, discrete)", resd.centers, t_newd),
             ("FullJoin (two-step)", S_fj, t_fj),
-        ]:
-            c = exact_cost(P, S, "median")
-            rows.append(
-                {
-                    "method": name,
-                    "k": k,
-                    "cost": c,
-                    "ratio_vs_best": c / best,
-                    "seconds": t,
-                    "n_per_rel": n,
-                    "join_size": len(P),
-                }
-            )
+        ]
+        rows += _scored(P, "median", runs, 1, cost_fj, k, n)
     return pd.DataFrame(rows)
 
 
@@ -108,25 +117,13 @@ def kmeans_table(
         (S_fj, cost_fj, _), t_fj = _timed(
             lambda: full_join_cluster(Q, k, "means", seed=seed)
         )
-        best = min(cost_fj, exact_cost(P, res.centers, "means"))
-        for name, S, t in [
+        runs = [
             ("NEW (rand)", res.centers, t_new),
             ("Rk-means [23]", S_23, t_23),
             ("k-means++ coreset [43]", S_43, t_43),
             ("FullJoin (two-step)", S_fj, t_fj),
-        ]:
-            c = exact_cost(P, S, "means")
-            rows.append(
-                {
-                    "method": name,
-                    "k": k,
-                    "cost": c,
-                    "ratio_vs_best": c / best,
-                    "seconds": t,
-                    "n_per_rel": n,
-                    "join_size": len(P),
-                }
-            )
+        ]
+        rows += _scored(P, "means", runs, 1, cost_fj, k, n)
     return pd.DataFrame(rows)
 
 
@@ -163,28 +160,12 @@ def deterministic_table(
         (S_fj, cost_fj, _), t_fj = _timed(
             lambda: full_join_cluster(Q, k, objective, seed=seed)
         )
-        best = min(
-            cost_fj,
-            exact_cost(P, res_d.centers, objective),
-            exact_cost(P, res_r.centers, objective),
-        )
-        for name, S, t in [
+        runs = [
             (f"NEW (det, {objective})", res_d.centers, t_d),
             (f"NEW (rand, {objective})", res_r.centers, t_r),
             (f"FullJoin ({objective})", S_fj, t_fj),
-        ]:
-            c = exact_cost(P, S, objective)
-            rows.append(
-                {
-                    "method": name,
-                    "k": k,
-                    "cost": c,
-                    "ratio_vs_best": c / best,
-                    "seconds": t,
-                    "n_per_rel": n,
-                    "join_size": len(P),
-                }
-            )
+        ]
+        rows += _scored(P, objective, runs, 2, cost_fj, k, n)
     return pd.DataFrame(rows)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.boxes import Box
+from repro.geometry.boxes import Box, dist_points_boxes
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,9 @@ def enumerate_cells(
     return cells
 
 
-def condition3(
-    box: Box, i: int, centers: np.ndarray
-) -> bool:
-    """The paper's condition (3): φ(x_i, □) ≤ φ(X, □) + diam(□)."""
-    from repro.geometry.boxes import dist_point_box
-
-    di = dist_point_box(centers[i], box)
-    dmin = min(dist_point_box(c, box) for c in centers)
-    return di <= dmin + box.diam
+def condition3(X: np.ndarray, i: int, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """The paper's condition (3), φ(x_i, □) ≤ φ(X, □) + diam(□), for each
+    cell □ given by a row of the (m, d) corner arrays; an (m,) bool mask."""
+    dists = dist_points_boxes(X, los, his)  # (|X|, m)
+    diams = np.sqrt(((his - los) ** 2).sum(axis=1))
+    return dists[i] <= dists.min(axis=0) + diams

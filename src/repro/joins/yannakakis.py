@@ -4,14 +4,16 @@ Everything here runs on the engine abstraction (Spark DataFrames in
 production), and never materializes the join result:
 
 - ``full_reduce``: semi-join reduction — keep only non-dangling tuples.
-- ``subtree_counts``: bottom-up counting DP; node tuple t gets ``__cnt`` =
-  number of join results of the subtree below t. At the root this yields the
-  per-root-tuple counts c(h) of Algorithm 3 and the total |q(D)|.
+- ``subtree_counts``: the one bottom-up counting DP; node tuple t gets
+  ``__cnt`` = number of join results of the subtree below t. At the root this
+  yields the per-root-tuple counts c(h) of Algorithm 3 and the total |q(D)|;
+  with ``carry`` the counts are also split by carried columns (a group-by
+  aggregate over the same tree).
 - ``multiplicities``: the up–down ("all marginals") pass — every tuple of
   every relation gets its full-join multiplicity; a leaf projection H_u is
   one group-by of these frames, and they weight the sampler.
-- ``grouped_counts``: the counting DP additionally grouped by carried columns
-  (used by the Rk-means baseline to weight grid cells relationally).
+- ``grouped_counts``: ``subtree_counts`` with carried columns, grouped by
+  them at the root (the Rk-means baseline's grid-cell weights).
 - ``sample_join``: uniform sampling of z join results with replacement —
   weighted root pick, then one driver-side per-key pick per tree edge
   (Lemma 2.1's SampleRect machinery, Zhao et al. style).
@@ -49,16 +51,30 @@ def full_reduce(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> di
     return out
 
 
+def _carried(tree: JoinTree, carry: Mapping[str, Sequence[str]], u: str) -> list[str]:
+    """Carried columns that reach node u: its own, then each child subtree's."""
+    return [*carry.get(u, []), *(x for c in tree.children[u] for x in _carried(tree, carry, c))]
+
+
 def subtree_counts(
-    engine: Engine, tree: JoinTree, dfs: Mapping[str, object]
+    engine: Engine,
+    tree: JoinTree,
+    dfs: Mapping[str, object],
+    carry: Mapping[str, Sequence[str]] | None = None,
 ) -> dict[str, object]:
-    """Bottom-up counting DP: ``__cnt`` per tuple = #join results below it."""
+    """Bottom-up counting DP: ``__cnt`` per tuple = #join results below it.
+
+    ``carry[rel]`` are extra columns of ``dfs[rel]`` kept as group keys on the
+    way up, so a tuple's frame rows split its count by the carried values of
+    the join results below it.
+    """
     counts: dict[str, object] = {}
     for u in tree.postorder():
         df = engine.with_lit(dfs[u], CNT, 1)
         for c in tree.children[u]:
             jk = tree.join_attrs(c, u)
-            agg = engine.groupby_sum(counts[c], jk, CNT, f"__cnt_{c}")
+            keys = [*jk, *_carried(tree, carry or {}, c)]
+            agg = engine.groupby_sum(counts[c], keys, CNT, f"__cnt_{c}")
             df = engine.join(df, agg, on=jk)
             df = engine.multiply_into(df, CNT, f"__cnt_{c}")
         counts[u] = df
@@ -95,34 +111,18 @@ def grouped_counts(
     dfs: Mapping[str, object],
     carry: Mapping[str, Sequence[str]],
 ) -> pd.DataFrame:
-    """Counting DP that carries extra per-relation group columns to the root.
+    """The counting DP grouped at the root by the carried columns.
 
     ``carry[rel]`` are columns of ``dfs[rel]`` (e.g. assigned-center ids).
     Returns a pandas frame with all carried columns and ``__cnt`` = number of
     join results having that carried-column combination — i.e. the weights of
     the Rk-means grid coreset, computed with joins + aggregations only.
     """
-    counts: dict[str, object] = {}
-    carried: dict[str, list[str]] = {}
-    for u in tree.postorder():
-        df = engine.with_lit(dfs[u], CNT, 1)
-        cols = list(carry.get(u, []))
-        for c in tree.children[u]:
-            jk = tree.join_attrs(c, u)
-            agg = engine.groupby_sum(
-                counts[c], [*jk, *carried[c]], CNT, f"__cnt_{c}"
-            )
-            df = engine.join(df, agg, on=jk)
-            df = engine.multiply_into(df, CNT, f"__cnt_{c}")
-            cols += carried[c]
-        counts[u] = df
-        carried[u] = cols
-    root = tree.root
-    if carried[root]:
-        agg = engine.groupby_sum(counts[root], carried[root], CNT, CNT)
-    else:
-        agg = engine.groupby_sum(engine.with_lit(counts[root], "__g", 0), ["__g"], CNT, CNT)
-    return engine.to_pandas(agg)
+    root = subtree_counts(engine, tree, dfs, carry)[tree.root]
+    keys = _carried(tree, carry, tree.root)
+    if not keys:
+        root, keys = engine.with_lit(root, "__g", 0), ["__g"]
+    return engine.to_pandas(engine.groupby_sum(root, keys, CNT, CNT))
 
 
 def sample_join(

@@ -4,8 +4,7 @@ import pytest
 
 from repro.clustering import cluster
 from repro.clustering.cost import assign, weighted_cost
-from repro.clustering.kmeans import pp_init, weighted_kmeans
-from repro.clustering.kmedian import geometric_median, weighted_kmedian
+from repro.clustering.lloyd import geometric_median, pp_init
 
 
 def planted(k=3, n_per=200, d=2, sep=10.0, sigma=0.3, seed=0):
@@ -134,17 +133,35 @@ class TestEdgeCases:
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
-            weighted_kmeans(np.zeros((0, 2)), None, 2)
+            cluster(np.zeros((0, 2)), None, 2, "means")
         with pytest.raises(ValueError):
-            weighted_kmedian(np.zeros((0, 2)), None, 2)
+            cluster(np.zeros((0, 2)), None, 2, "median")
 
     def test_duplicate_points_merged(self):
         P = np.array([[1.0, 1.0]] * 10 + [[5.0, 5.0]] * 10)
-        S, cost = weighted_kmeans(P, None, 2, rng=np.random.default_rng(0))
+        S, cost = cluster(P, None, 2, "means", rng=np.random.default_rng(0))
         assert cost == pytest.approx(0.0, abs=1e-9)
 
     def test_discrete_cost_at_least_geometric(self):
         P, _ = planted(k=2, n_per=60, seed=7)
-        _, cg = weighted_kmedian(P, None, 2, rng=np.random.default_rng(0))
-        _, cd = weighted_kmedian(P, None, 2, discrete=True, rng=np.random.default_rng(0))
+        _, cg = cluster(P, None, 2, "median", rng=np.random.default_rng(0))
+        _, cd = cluster(P, None, 2, "median", discrete=True, rng=np.random.default_rng(0))
         assert cd >= cg - 1e-9
+
+    @pytest.mark.parametrize("objective", ["median", "means"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, objective, bad):
+        P = np.array([[0.0, 0.0], [1.0, bad], [5.0, 5.0], [6.0, 6.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            cluster(P, None, 2, objective)
+
+    @pytest.mark.parametrize("objective", ["median", "means"])
+    def test_default_n_iter_per_objective(self, objective):
+        # n_iter=None picks the objective's default (40 / 60 iterations).
+        P, _ = planted(k=3, seed=8)
+        default = cluster(P, None, 3, objective, rng=np.random.default_rng(0))
+        explicit = cluster(
+            P, None, 3, objective, rng=np.random.default_rng(0),
+            n_iter={"median": 40, "means": 60}[objective],
+        )
+        assert np.array_equal(default[0], explicit[0]) and default[1] == explicit[1]

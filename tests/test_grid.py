@@ -1,6 +1,8 @@
 """Exponential grids (Section 3): levels, snapping, enumeration, condition (3)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.boxes import Box, dist_point_box
 from repro.geometry.grid import (
@@ -161,21 +163,64 @@ class TestEnumeration:
             enumerate_cells(np.zeros(2), 8, p, Box((-99, -99), (99, 99)), max_cells=10)
 
 
+def corners(*boxes: Box) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, d) lo/hi arrays that ``condition3`` takes."""
+    return np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+
+
+def condition3_scalar(box: Box, i: int, centers: np.ndarray) -> bool:
+    """Reference: condition (3) for one cell, one point-box distance at a time."""
+    dmin = min(dist_point_box(c, box) for c in centers)
+    return dist_point_box(centers[i], box) <= dmin + box.diam
+
+
 class TestCondition3:
     def test_own_nearest_center_passes(self):
         # The cell right next to x_i passes: φ(x_i,□) = 0 ≤ anything.
         centers = np.array([[0.0, 0.0], [10.0, 10.0]])
         b = Box((0.0, 0.0), (0.1, 0.1))
-        assert condition3(b, 0, centers)
+        assert condition3(centers, 0, *corners(b)).tolist() == [True]
 
     def test_far_center_with_near_rival_fails(self):
         centers = np.array([[100.0, 100.0], [0.0, 0.0]])
         b = Box((0.0, 0.0), (0.1, 0.1))
-        assert not condition3(b, 0, centers)
+        assert condition3(centers, 0, *corners(b)).tolist() == [False]
 
     def test_borderline_diam_slack(self):
         # φ(x_0,□)=1, φ(x_1,□)=0, diam=√2·2 > 1 → passes thanks to the slack.
         centers = np.array([[3.0, 0.0], [0.0, 0.0]])
         b = Box((0.0, 0.0), (2.0, 2.0))
-        assert condition3(b, 0, centers)
+        assert condition3(centers, 0, *corners(b)).tolist() == [True]
         assert dist_point_box(centers[0], b) == pytest.approx(1.0)
+
+    def test_equality_passes(self):
+        # φ(x_0,□) = 1 = φ(x_1,□) + diam(□): the condition is ≤, not <.
+        centers = np.array([[2.0], [0.5]])
+        assert condition3(centers, 0, *corners(Box((0.0,), (1.0,)))).tolist() == [True]
+
+    def test_one_entry_per_cell(self):
+        centers = np.array([[0.0, 0.0], [10.0, 10.0]])
+        cells = [Box((0.0, 0.0), (0.1, 0.1)), Box((10.0, 10.0), (10.1, 10.1))]
+        assert condition3(centers, 0, *corners(*cells)).tolist() == [True, False]
+        assert condition3(centers, 1, *corners(*cells)).tolist() == [False, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_reference(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        m = data.draw(st.integers(1, 5), label="centers")
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        # Integer-valued coordinates make the ≤ boundary reachable.
+        coord = st.one_of(st.floats(-10.0, 10.0), st.integers(-10, 10).map(float))
+        point = st.lists(coord, min_size=d, max_size=d)
+        side = st.lists(
+            st.one_of(st.floats(1e-3, 5.0), st.integers(1, 5).map(float)), min_size=d, max_size=d
+        )
+        X = np.array(data.draw(st.lists(point, min_size=m, max_size=m), label="X")) * scale
+        cells = [
+            Box(tuple(np.array(lo) * scale), tuple((np.array(lo) + s) * scale))
+            for lo, s in data.draw(st.lists(st.tuples(point, side), min_size=1, max_size=6))
+        ]
+        i = data.draw(st.integers(0, m - 1), label="i")
+        got = condition3(X, i, *corners(*cells)).tolist()
+        assert got == [condition3_scalar(b, i, X) for b in cells]

@@ -129,6 +129,32 @@ class TestLeaves:
         assert res.centers.shape == (2, 1)
 
 
+def chain_with_bad_x1(engine, value):
+    """The chain_small instance with ``value`` in every tenth x1 of R1."""
+    from repro import synth_data
+    from repro.joins.yannakakis import RelQuery
+    from repro.workloads import chain_tree
+
+    tables = synth_data.clustered_chain_pdfs(n=300, n_keys=40, seed=5)
+    tables["R1"].loc[::10, "x1"] = value
+    return RelQuery(engine, chain_tree(), tables)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+class TestNonFiniteFeatures:
+    def test_rel_kmedian_rejects(self, local, value):
+        Q = chain_with_bad_x1(local, value)
+        with pytest.raises(ValueError, match="non-finite"):
+            rel_kmedian(Q, 3, pool_size=1500, seed=0)
+
+    def test_rkmeans_rejects(self, local, value):
+        from repro.baselines.rkmeans import rkmeans
+
+        Q = chain_with_bad_x1(local, value)
+        with pytest.raises(ValueError, match="non-finite"):
+            rkmeans(Q, 3, seed=0)
+
+
 class TestApi:
     def test_rel_kmedian_objective(self, chain_small):
         res = rel_kmedian(chain_small, 2, pool_size=1500, seed=0)

@@ -2,6 +2,8 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.joins.engine import LocalEngine
 from repro.joins.join_tree import JoinTree, Relation
@@ -107,8 +109,8 @@ class TestCounting:
         assert total_count(eng, tree, reduced) == 0
 
 
-def per_tuple_join_counts(tree: JoinTree, dfs: dict) -> dict[str, pd.Series]:
-    """Brute force: #join results each tuple (by ``__rid``) takes part in."""
+def join_with_rids(tree: JoinTree, dfs: dict) -> pd.DataFrame:
+    """Brute force: q(D) over every column, each ``__rid`` as ``rid_<rel>``."""
     cur = None
     for u in reversed(tree.postorder()):
         df = dfs[u].rename(columns={RID: f"rid_{u}"})
@@ -118,7 +120,13 @@ def per_tuple_join_counts(tree: JoinTree, dfs: dict) -> dict[str, pd.Series]:
             jk = list(tree.join_attrs(u, tree.parent[u]))
             new = [c for c in df.columns if c in jk or c not in cur.columns]
             cur = cur.merge(df[new], on=jk, how="inner")
-    return {u: cur.groupby(f"rid_{u}").size() for u in tree.relations}
+    return cur
+
+
+def per_tuple_join_counts(tree: JoinTree, dfs: dict) -> dict[str, pd.Series]:
+    """Brute force: #join results each tuple (by ``__rid``) takes part in."""
+    joined = join_with_rids(tree, dfs)
+    return {u: joined.groupby(f"rid_{u}").size() for u in tree.relations}
 
 
 def assert_multiplicities_exact(eng, Q) -> None:
@@ -260,3 +268,45 @@ class TestGroupedCounts:
         reduced = full_reduce(eng, tree, tables)
         got = grouped_counts(eng, tree, reduced, {})
         assert got[CNT].sum() == total_count(eng, tree, reduced)
+
+
+class TestCarriedCounts:
+    """``subtree_counts`` with a random ``carry``: the root frame splits each
+    root tuple's count by the carried values of its join results."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        root=st.sampled_from("ABC"),
+        carriers=st.lists(st.sampled_from("ABC"), unique=True),
+        n_ids=st.integers(1, 4),
+    )
+    def test_matches_brute_force_groupby(self, eng, seed, root, carriers, n_ids):
+        tree, tables = random_instance(seed)
+        tree = tree.rerooted(root)
+        Q = RelQuery(eng, tree, tables)
+        g = np.random.default_rng(seed)
+        dfs = dict(Q.dfs)
+        carry = {}
+        for rel in carriers:
+            dfs[rel] = dfs[rel].assign(**{f"__cid_{rel}": g.integers(0, n_ids, len(dfs[rel]))})
+            carry[rel] = [f"__cid_{rel}"]
+        cols = [c for rel in carriers for c in carry[rel]]
+        keys = [f"rid_{root}", *cols]
+
+        frame = subtree_counts(eng, tree, dfs, carry)[root].rename(columns={RID: f"rid_{root}"})
+        got = frame.groupby(keys)[CNT].sum().sort_index()
+        joined = join_with_rids(tree, dfs)
+        expect = joined.groupby(keys).size().sort_index()
+        pd.testing.assert_series_equal(got, expect, check_names=False, check_dtype=False)
+
+        n = total_count(eng, tree, Q.dfs)
+        assert n == len(joined) == frame[CNT].sum()
+        no_carry = subtree_counts(eng, tree, Q.dfs)[root]
+        assert no_carry[CNT].sum() == n
+        if cols:
+            grouped = grouped_counts(eng, tree, dfs, carry).set_index(cols)[CNT].sort_index()
+            pd.testing.assert_series_equal(
+                grouped, joined.groupby(cols).size().sort_index(),
+                check_names=False, check_dtype=False,
+            )
