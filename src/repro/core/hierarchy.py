@@ -12,7 +12,6 @@ certificate r_u. The root's S is the final (1+ε)γ-approximation
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -45,7 +44,6 @@ class ClusterResult:
     features: tuple[str, ...]
     n: int
     nodes: list[NodeResult] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
 
 def cross_product(Sv: np.ndarray, Sz: np.ndarray) -> np.ndarray:
@@ -82,8 +80,8 @@ def _leaf(
     """
     H: pd.DataFrame = Q.engine.to_pandas(Q.leaf_weights(attr, counts))
     # Engine group-bys return rows in no fixed order; fix it for the seed.
-    H = H.sort_values("value", ignore_index=True)
-    P = H["value"].to_numpy(dtype=np.float64)[:, None]
+    H = H.sort_values(attr, ignore_index=True)
+    P = H[attr].to_numpy(dtype=np.float64)[:, None]
     w = H["weight"].to_numpy(dtype=np.float64)
     S, _ = cluster(P, w, k, objective, discrete=discrete, rng=rng)
     r = weighted_cost(P, S, w, objective)  # exact: H_u IS q_u(D)
@@ -113,16 +111,13 @@ def relational_cluster(
     feats = list(Q.tree.all_features)
     if not feats:
         raise ValueError("query has no feature attributes")
-    t0 = time.perf_counter()
     n = Q.total_count()
-    t_count = time.perf_counter() - t0
     if n == 0:
         raise ValueError("the join is empty: q(D) has no results to cluster")
     if method not in ("fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
     nodes: list[NodeResult] = []
     pool = None
-    t_pool = 0.0
 
     def solve(lo: int, hi: int) -> NodeResult:
         if hi - lo == 1:
@@ -154,13 +149,9 @@ def relational_cluster(
     # One up–down pass serves the pool's descent and every leaf H_u.
     with Q.multiplicities() as counts:
         if method == "fast":
-            t0 = time.perf_counter()
             z = min(pool_size, max(10 * n, 1))
             pool = Q.sample(z, rng, attrs=feats, counts=counts).to_numpy(dtype=np.float64)
-            t_pool = time.perf_counter() - t0
-        t0 = time.perf_counter()
         root = solve(0, len(feats))
-        t_tree = time.perf_counter() - t0
     # Root attrs may be a permutation of feats (balanced split order);
     # reorder center columns to the canonical feature order.
     perm = [root.attrs.index(f) for f in feats]
@@ -171,5 +162,4 @@ def relational_cluster(
         features=tuple(feats),
         n=n,
         nodes=nodes,
-        timings={"count": t_count, "pool": t_pool, "tree": t_tree},
     )

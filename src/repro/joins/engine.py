@@ -8,7 +8,7 @@ milliseconds and cross-checked against the Spark results.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -16,10 +16,6 @@ import pandas as pd
 
 class Engine(ABC):
     """Minimal relational operations needed by the Yannakakis-style DPs."""
-
-    @abstractmethod
-    def columns(self, df) -> list[str]:
-        """Column names of ``df``."""
 
     @abstractmethod
     def project(self, df, cols: Sequence[str], distinct: bool = False):
@@ -52,20 +48,12 @@ class Engine(ABC):
         exact integer division — dropping ``factor`` and ``divisor``."""
 
     @abstractmethod
-    def rename(self, df, mapping: Mapping[str, str]):
-        """Rename columns."""
-
-    @abstractmethod
     def to_pandas(self, df) -> pd.DataFrame:
         """Collect to pandas (only for small/bounded results)."""
 
     @abstractmethod
     def from_pandas(self, pdf: pd.DataFrame):
         """Create an engine-native frame from pandas."""
-
-    @abstractmethod
-    def add_row_id(self, df, col: str):
-        """Attach a deterministic, unique row id column."""
 
     @abstractmethod
     def sum_col(self, df, col: str) -> float:
@@ -134,9 +122,6 @@ class Engine(ABC):
 class LocalEngine(Engine):
     """pandas implementation — for fast unit tests and Spark cross-checks."""
 
-    def columns(self, df):
-        return list(df.columns)
-
     def project(self, df, cols, distinct=False):
         out = df[list(cols)]
         return out.drop_duplicates().reset_index(drop=True) if distinct else out.copy()
@@ -169,19 +154,11 @@ class LocalEngine(Engine):
         out[target] = out[target] * f
         return out.drop(columns=[c for c in (factor, divisor) if c])
 
-    def rename(self, df, mapping):
-        return df.rename(columns=dict(mapping))
-
     def to_pandas(self, df):
         return df.reset_index(drop=True)
 
     def from_pandas(self, pdf):
         return pdf.copy()
-
-    def add_row_id(self, df, col):
-        out = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
-        out[col] = np.arange(len(out), dtype=np.int64)
-        return out
 
     def sum_col(self, df, col):
         return float(df[col].sum()) if len(df) else 0.0
@@ -211,9 +188,6 @@ class SparkEngine(Engine):
 
     def __init__(self, spark):
         self.spark = spark
-
-    def columns(self, df):
-        return list(df.columns)
 
     def project(self, df, cols, distinct=False):
         out = df.select(*cols)
@@ -247,26 +221,11 @@ class SparkEngine(Engine):
         f = F.col(factor) if divisor is None else F.expr(f"`{factor}` div `{divisor}`")
         return df.withColumn(target, F.col(target) * f).drop(*[c for c in (factor, divisor) if c])
 
-    def rename(self, df, mapping):
-        for old, new in mapping.items():
-            df = df.withColumnRenamed(old, new)
-        return df
-
     def to_pandas(self, df):
         return df.toPandas()
 
     def from_pandas(self, pdf):
         return self.spark.createDataFrame(pdf)
-
-    def add_row_id(self, df, col):
-        from pyspark.sql import Window
-        from pyspark.sql import functions as F
-
-        # row_number over a total order on all columns: deterministic ids, at
-        # the cost of a single-partition sort — fine at reproduction scales
-        # and required so id->tuple stays stable across Spark actions.
-        w = Window.orderBy(*[F.col(c) for c in df.columns])
-        return df.withColumn(col, (F.row_number().over(w) - 1).cast("long"))
 
     def sum_col(self, df, col):
         from pyspark.sql import functions as F

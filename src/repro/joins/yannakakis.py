@@ -19,8 +19,8 @@ production), and never materializes the join result:
   (Lemma 2.1's SampleRect machinery, Zhao et al. style).
 
 ``RelQuery`` packages a query instance (tree + tables) with the rectangle
-variants CountRect / SampleRect (box filter on every relation, re-reduce,
-re-run the DP).
+variants CountRect / SampleRect (box filter on every relation, re-run the
+DP; its inner joins drop the tuples the filter left dangling).
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ import pandas as pd
 from repro.joins.engine import Engine
 from repro.joins.join_tree import JoinTree
 
-RID = "__rid"
 CNT = "__cnt"
 
 
@@ -136,23 +135,25 @@ def sample_join(
 ) -> pd.DataFrame:
     """z uniform (with replacement) samples from q(D), never materializing it.
 
-    Requires a unique ``__rid`` per relation. ``counts`` (default: fresh
-    ``subtree_counts``; ``multiplicities`` works too, being proportional to
-    them within each key group) weight the picks. The O(N) root frame is
-    collected once and ordered by ``__rid``, so the pool depends only on
-    ``rng``; descent is one ``engine.weighted_pick`` per tree edge.
+    ``counts`` (default: fresh ``subtree_counts``; ``multiplicities`` works
+    too, being proportional to them within each key group) weight the picks.
+    The O(N) root frame is collected once and ordered by the root relation's
+    declared attributes, not by the engine's column or row order, so the pool
+    depends only on ``rng``; descent is one ``engine.weighted_pick`` per tree
+    edge.
     """
     if z <= 0:
         return pd.DataFrame(columns=list(attrs or []))
     counts = counts or subtree_counts(engine, tree, dfs)
     root = tree.root
-    roots = engine.to_pandas(engine.project(counts[root], [*engine.columns(dfs[root]), CNT]))
+    root_attrs = list(tree.relations[root].attrs)
+    roots = engine.to_pandas(engine.project(counts[root], [*root_attrs, CNT]))
     if len(roots) == 0:
         return pd.DataFrame(columns=list(attrs or []))
-    roots = roots.sort_values(RID, ignore_index=True)
+    roots = roots.sort_values(root_attrs, kind="mergesort", ignore_index=True)
     w = roots[CNT].to_numpy(dtype=np.float64)
     picked = rng.choice(len(roots), size=z, p=w / w.sum())
-    cur = roots.iloc[picked].drop(columns=[RID, CNT]).reset_index(drop=True)
+    cur = roots.iloc[picked].drop(columns=CNT).reset_index(drop=True)
     cur["__sid"] = np.arange(z, dtype=np.int64)
 
     def descend(node: str, cur: pd.DataFrame) -> pd.DataFrame:
@@ -160,9 +161,7 @@ def sample_join(
             jk = list(tree.join_attrs(c, node))
             reqs = cur[[*jk, "__sid"]].copy()
             reqs["__u"] = rng.random(len(reqs))
-            new_cols = [
-                x for x in engine.columns(dfs[c]) if x not in cur.columns and x != RID
-            ]
+            new_cols = [x for x in tree.relations[c].attrs if x not in cur.columns]
             picked = engine.weighted_pick(counts[c], jk, CNT, reqs, new_cols)
             cur = cur.merge(picked, on="__sid", how="inner")
             cur = descend(c, cur)
@@ -187,10 +186,8 @@ class RelQuery:
         missing = set(tree.relations) - set(tables)
         if missing:
             raise ValueError(f"missing tables for relations {missing}")
-        dfs = {}
-        for name, rel in tree.relations.items():
-            df = engine.project(tables[name], list(rel.attrs))
-            dfs[name] = engine.add_row_id(df, RID)
+        dfs = {name: engine.project(tables[name], list(rel.attrs))
+               for name, rel in tree.relations.items()}
         reduced = full_reduce(engine, tree, dfs)
         self.dfs = {n: engine.cache(df) for n, df in reduced.items()}
         self._n: int | None = None
@@ -217,14 +214,13 @@ class RelQuery:
     def leaf_weights(self, attr: str, counts: Mapping[str, object] | None = None):
         """Weighted 1-D projection H_u of q(D) on ``attr`` (Algorithm 3 leaf).
 
-        Returns an engine frame (value, weight): weight = multiplicity of the
+        Returns an engine frame (attr, weight): weight = multiplicity of the
         value in the multiset projection: a group-by over the up–down
         ``counts`` (default: fresh) of a relation containing ``attr``.
         """
         counts = counts or multiplicities(self.engine, self.tree, self.dfs)
         rel = self.tree.relation_with_attr(attr)
-        agg = self.engine.groupby_sum(counts[rel], [attr], CNT, "weight")
-        return self.engine.rename(agg, {attr: "value"})
+        return self.engine.groupby_sum(counts[rel], [attr], CNT, "weight")
 
     def feature_bounds(self) -> dict[str, tuple[float, float]]:
         """Exact per-feature min/max of the join multiset (every reduced tuple
@@ -248,6 +244,9 @@ class RelQuery:
     def _filtered(
         self, box: Mapping[str, tuple[float, float]], right_closed: bool = True
     ) -> dict[str, object]:
+        """Every relation filtered to ``box``, not re-reduced: the counting
+        DP's inner joins drop tuples left dangling, and the sampler only
+        asks for keys of tuples it has already picked."""
         dfs = {}
         for name, rel in self.tree.relations.items():
             df = self.dfs[name]
@@ -255,7 +254,7 @@ class RelQuery:
                 if attr in rel.attrs:
                     df = self.engine.filter_range(df, attr, lo, hi, right_closed)
             dfs[name] = df
-        return full_reduce(self.engine, self.tree, dfs)
+        return dfs
 
     def count_rect(
         self, box: Mapping[str, tuple[float, float]], right_closed: bool = True
@@ -292,13 +291,11 @@ class RelQuery:
         attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
         cur = None
         for u in reversed(self.tree.postorder()):
-            df = self.engine.project(
-                self.dfs[u], [c for c in self.engine.columns(self.dfs[u]) if c != RID]
-            )
+            df = self.dfs[u]
             if cur is None:
                 cur = df
             else:
                 jk = self.tree.join_attrs(u, self.tree.parent[u])
-                new_cols = [c for c in self.engine.columns(df) if c in jk or c not in self.engine.columns(cur)]
+                new_cols = [c for c in df.columns if c in jk or c not in cur.columns]
                 cur = self.engine.join(cur, self.engine.project(df, new_cols), on=list(jk))
         return self.engine.project(cur, attrs)

@@ -6,7 +6,6 @@ DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -19,7 +18,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
-    """pandas variant of :func:`lineitem` (shared by both engines)."""
+    """The lineitem table of TPC-H-lite."""
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
@@ -41,12 +40,8 @@ def lineitem_pdf(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     )
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf=sf, seed=seed))
-
-
 def orders_pdf(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
-    """pandas variant of :func:`orders`."""
+    """The orders table of TPC-H-lite."""
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)
@@ -65,33 +60,8 @@ def orders_pdf(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
     )
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf=sf, seed=seed))
-
-
-def part_pdf(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
-    """pandas variant of :func:`part`."""
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    return pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
-
-
 def customer_pdf(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
-    """pandas variant of :func:`customer`."""
+    """The customer table of TPC-H-lite."""
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)
     return pd.DataFrame(
@@ -103,27 +73,6 @@ def customer_pdf(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
                 ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
             ),
         }
-    )
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
     )
 
 

@@ -18,9 +18,6 @@ def sample_df():
 
 
 class TestLocalOps:
-    def test_columns(self, eng):
-        assert eng.columns(sample_df()) == ["k", "v", "w"]
-
     def test_project(self, eng):
         out = eng.project(sample_df(), ["k"])
         assert list(out.columns) == ["k"]
@@ -70,17 +67,6 @@ class TestLocalOps:
         out = eng.multiply_into(df, "t", "f", "d")
         assert out["t"].tolist() == [9, 20]
         assert list(out.columns) == ["t"]
-
-    def test_rename(self, eng):
-        out = eng.rename(sample_df(), {"v": "value"})
-        assert "value" in out.columns and "v" not in out.columns
-
-    def test_add_row_id_unique_deterministic(self, eng):
-        a = eng.add_row_id(sample_df(), "rid")
-        b = eng.add_row_id(sample_df().sample(frac=1.0, random_state=3), "rid")
-        assert a["rid"].is_unique
-        merged = a.merge(b, on=["k", "v", "w"], suffixes=("_a", "_b"))
-        assert (merged["rid_a"] == merged["rid_b"]).all()
 
     def test_sum_col(self, eng):
         assert eng.sum_col(sample_df(), "w") == 10.0
@@ -132,12 +118,6 @@ class TestSparkOps:
     def test_semijoin_no_duplication(self, se, sdf):
         b = se.from_pandas(pd.DataFrame({"k": [1, 1, 9]}))
         assert len(se.to_pandas(se.semijoin(sdf, b, ["k"]))) == 2
-
-    def test_add_row_id_stable_across_actions(self, se, sdf):
-        withid = se.add_row_id(sdf, "rid")
-        a = se.to_pandas(withid).sort_values("rid").reset_index(drop=True)
-        b = se.to_pandas(withid).sort_values("rid").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
 
     def test_assign_nearest(self, se, sdf):
         out = se.to_pandas(se.assign_nearest(sdf, ["v"], np.array([[10.0], [40.0]]), "cid"))

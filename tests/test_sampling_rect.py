@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.joins.engine import LocalEngine, SparkEngine
-from repro.joins.yannakakis import RelQuery
+from repro.joins.yannakakis import RelQuery, sample_join, total_count
 from tests.conftest import brute_force_join
 from tests.test_yannakakis_local import random_instance
 
@@ -68,6 +68,28 @@ class TestSampleJoin:
         tables["C"] = tables["C"].assign(y=999_999)
         Q = RelQuery(eng, tree, tables)
         assert len(Q.sample(10, np.random.default_rng(0))) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unreduced_tables(self, eng, seed):
+        """Counting and sampling need no semi-join reduction first:
+        ``random_instance`` has dangling tuples in every relation."""
+        tree, tables = random_instance(seed)
+        joined = brute_force_join(tree, tables)
+        assert total_count(eng, tree, tables) == len(joined)
+        cols = ["x", "y", "fa", "fb", "fc"]
+        s = sample_join(eng, tree, tables, 200, np.random.default_rng(seed), cols)
+        assert len(s) == 200
+        merged = s.merge(joined[cols].drop_duplicates(), on=cols, how="left", indicator=True)
+        assert (merged["_merge"] == "both").all()
+
+    def test_pool_independent_of_column_order(self, eng, inst):
+        """The root frame is ordered by the declared attributes, so permuting
+        the frames' columns (as Spark's joins do) leaves the pool unchanged."""
+        Q, _ = inst
+        permuted = {u: df[df.columns[::-1]] for u, df in Q.dfs.items()}
+        a = sample_join(eng, Q.tree, Q.dfs, 300, np.random.default_rng(5), ["fa", "fb", "fc"])
+        b = sample_join(eng, Q.tree, permuted, 300, np.random.default_rng(5), ["fa", "fb", "fc"])
+        pd.testing.assert_frame_equal(a, b)
 
 
 def random_box(joined, seed, dims=("fa", "fb")):

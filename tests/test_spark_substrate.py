@@ -44,14 +44,14 @@ class TestCountsVsOracle:
     def test_leaf_weights_vs_oracle(self, sq, chain_tables):
         assert_equivalent(
             sq.leaf_weights("x1"),
-            f"SELECT x1 AS value, COUNT(*) AS weight {CHAIN_SQL_FROM} GROUP BY x1",
+            f"SELECT x1, COUNT(*) AS weight {CHAIN_SQL_FROM} GROUP BY x1",
             **chain_tables,
         )
 
     def test_leaf_weights_non_root_attr_vs_oracle(self, sq, chain_tables):
         assert_equivalent(
             sq.leaf_weights("x3"),
-            f"SELECT x3 AS value, COUNT(*) AS weight {CHAIN_SQL_FROM} GROUP BY x3",
+            f"SELECT x3, COUNT(*) AS weight {CHAIN_SQL_FROM} GROUP BY x3",
             **chain_tables,
         )
 
@@ -81,8 +81,8 @@ class TestSparkLocalParity:
         assert sq.total_count() == lq.total_count()
 
     def test_leaf_weights(self, sq, lq):
-        a = sq.engine.to_pandas(sq.leaf_weights("x2")).sort_values("value").reset_index(drop=True)
-        b = lq.engine.to_pandas(lq.leaf_weights("x2")).sort_values("value").reset_index(drop=True)
+        a = sq.engine.to_pandas(sq.leaf_weights("x2")).sort_values("x2").reset_index(drop=True)
+        b = lq.engine.to_pandas(lq.leaf_weights("x2")).sort_values("x2").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
     def test_multiplicities(self, sq, lq):
@@ -179,7 +179,7 @@ class TestSparkStar:
         t["customer"] = t["customer"].rename(columns={"c_custkey": "o_custkey"})
         assert_equivalent(
             Q.leaf_weights("c_acctbal_s"),
-            "SELECT c_acctbal_s AS value, COUNT(*) AS weight "
+            "SELECT c_acctbal_s, COUNT(*) AS weight "
             "FROM lineitem JOIN orders USING (l_orderkey) "
             "JOIN customer USING (o_custkey) GROUP BY c_acctbal_s",
             lineitem=t["lineitem"][["l_orderkey", "l_quantity_s", "l_price_s"]],

@@ -33,9 +33,7 @@ class TestTpchLite:
 
     def test_customer_part_pdf(self):
         c = synth_data.customer_pdf(sf=0.01)
-        p = synth_data.part_pdf(sf=0.01)
         assert c["c_custkey"].is_unique
-        assert p["p_partkey"].is_unique
 
 
 class TestClusteredChain:
@@ -101,13 +99,3 @@ class TestCycle4:
         for k in a:
             pd.testing.assert_frame_equal(a[k], b[k])
 
-
-class TestSparkWrappers:
-    def test_lineitem_spark(self, spark):
-        df = synth_data.lineitem(spark, sf=0.0005)
-        assert df.count() == 3000
-
-    def test_zipf_keys_spark(self, spark):
-        df = synth_data.zipf_keys(spark, n=1000, n_keys=50)
-        assert df.count() == 1000
-        assert set(df.columns) == {"k", "v"}

@@ -9,10 +9,10 @@ from repro.joins.engine import LocalEngine
 from repro.joins.join_tree import JoinTree, Relation
 from repro.joins.yannakakis import (
     CNT,
-    RID,
     RelQuery,
     full_reduce,
     grouped_counts,
+    multiplicities,
     subtree_counts,
     total_count,
 )
@@ -109,11 +109,17 @@ class TestCounting:
         assert total_count(eng, tree, reduced) == 0
 
 
+def with_rids(dfs: dict) -> dict:
+    """Each frame with a test-side tuple id column ``rid`` (the DPs keep
+    extra columns, so it rides along and identifies tuples in their output)."""
+    return {u: df.assign(rid=np.arange(len(df))) for u, df in dfs.items()}
+
+
 def join_with_rids(tree: JoinTree, dfs: dict) -> pd.DataFrame:
-    """Brute force: q(D) over every column, each ``__rid`` as ``rid_<rel>``."""
+    """Brute force: q(D) over every column, each ``rid`` as ``rid_<rel>``."""
     cur = None
     for u in reversed(tree.postorder()):
-        df = dfs[u].rename(columns={RID: f"rid_{u}"})
+        df = dfs[u].rename(columns={"rid": f"rid_{u}"})
         if cur is None:
             cur = df
         else:
@@ -124,21 +130,24 @@ def join_with_rids(tree: JoinTree, dfs: dict) -> pd.DataFrame:
 
 
 def per_tuple_join_counts(tree: JoinTree, dfs: dict) -> dict[str, pd.Series]:
-    """Brute force: #join results each tuple (by ``__rid``) takes part in."""
+    """Brute force: #join results each tuple (by ``rid``) takes part in."""
     joined = join_with_rids(tree, dfs)
     return {u: joined.groupby(f"rid_{u}").size() for u in tree.relations}
 
 
-def assert_multiplicities_exact(eng, Q) -> None:
-    expect = per_tuple_join_counts(Q.tree, Q.dfs)
-    with Q.multiplicities() as counts:
-        for name in Q.tree.relations:
-            got = eng.to_pandas(counts[name]).set_index(RID)[CNT].sort_index()
-            # Every reduced tuple joins, so brute force sees every rid.
-            pd.testing.assert_series_equal(
-                got, expect[name].sort_index(), check_names=False, check_dtype=False
-            )
-            assert got.sum() == Q.total_count()
+def assert_multiplicities_exact(eng, tree: JoinTree, dfs: dict) -> None:
+    """``multiplicities`` of the reduced ``dfs`` (with ids) vs brute force."""
+    dfs = full_reduce(eng, tree, with_rids(dfs))
+    expect = per_tuple_join_counts(tree, dfs)
+    counts = multiplicities(eng, tree, dfs)
+    n = total_count(eng, tree, dfs)
+    for name in tree.relations:
+        got = eng.to_pandas(counts[name]).set_index("rid")[CNT].sort_index()
+        # Every reduced tuple joins, so brute force sees every rid.
+        pd.testing.assert_series_equal(
+            got, expect[name].sort_index(), check_names=False, check_dtype=False
+        )
+        assert got.sum() == n
 
 
 class TestMultiplicities:
@@ -146,17 +155,19 @@ class TestMultiplicities:
     @pytest.mark.parametrize("seed", range(4))
     def test_per_tuple_matches_brute_force(self, eng, seed, root):
         tree, tables = random_instance(seed)
-        assert_multiplicities_exact(eng, RelQuery(eng, tree.rerooted(root), tables))
+        assert_multiplicities_exact(eng, tree.rerooted(root), tables)
 
     def test_duplicate_tuples_counted_separately(self, eng):
         tree, tables = random_instance(1)
         tables["A"] = pd.concat([tables["A"], tables["A"].iloc[:10]], ignore_index=True)
-        assert_multiplicities_exact(eng, RelQuery(eng, tree, tables))
+        assert_multiplicities_exact(eng, tree, tables)
 
     def test_ghd_cycle4(self, eng):
         from repro.workloads import cycle4_query
 
-        assert_multiplicities_exact(eng, cycle4_query(eng, n=150, n_keys=8, seed=3))
+        # Bags are DISTINCT, so an id per bag tuple keys on all its attributes.
+        Q = cycle4_query(eng, n=150, n_keys=8, seed=3)
+        assert_multiplicities_exact(eng, Q.tree, Q.dfs)
 
     def test_empty_join(self, eng):
         tree, tables = random_instance(0)
@@ -173,22 +184,15 @@ class TestRelQuery:
         Q = RelQuery(eng, tree, tables)
         assert Q.total_count() == len(brute_force_join(tree, tables))
 
-    def test_rid_added_and_unique(self, eng):
-        tree, tables = random_instance(1)
-        Q = RelQuery(eng, tree, tables)
-        for name in tree.relations:
-            rids = Q.dfs[name][RID]
-            assert rids.is_unique
-
     @pytest.mark.parametrize("attr", ["fa", "fb", "fc"])
     def test_leaf_weights_match_brute_force(self, eng, attr):
         tree, tables = random_instance(2)
         Q = RelQuery(eng, tree, tables)
-        H = eng.to_pandas(Q.leaf_weights(attr)).sort_values("value").reset_index(drop=True)
+        H = eng.to_pandas(Q.leaf_weights(attr)).sort_values(attr).reset_index(drop=True)
         joined = brute_force_join(tree, tables)
         expect = (
             joined.groupby(attr).size().rename("weight").reset_index()
-            .rename(columns={attr: "value"}).sort_values("value").reset_index(drop=True)
+            .sort_values(attr).reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(H, expect, check_dtype=False)
 
@@ -284,9 +288,9 @@ class TestCarriedCounts:
     def test_matches_brute_force_groupby(self, eng, seed, root, carriers, n_ids):
         tree, tables = random_instance(seed)
         tree = tree.rerooted(root)
-        Q = RelQuery(eng, tree, tables)
+        reduced = full_reduce(eng, tree, with_rids(tables))
         g = np.random.default_rng(seed)
-        dfs = dict(Q.dfs)
+        dfs = dict(reduced)
         carry = {}
         for rel in carriers:
             dfs[rel] = dfs[rel].assign(**{f"__cid_{rel}": g.integers(0, n_ids, len(dfs[rel]))})
@@ -294,15 +298,15 @@ class TestCarriedCounts:
         cols = [c for rel in carriers for c in carry[rel]]
         keys = [f"rid_{root}", *cols]
 
-        frame = subtree_counts(eng, tree, dfs, carry)[root].rename(columns={RID: f"rid_{root}"})
+        frame = subtree_counts(eng, tree, dfs, carry)[root].rename(columns={"rid": f"rid_{root}"})
         got = frame.groupby(keys)[CNT].sum().sort_index()
         joined = join_with_rids(tree, dfs)
         expect = joined.groupby(keys).size().sort_index()
         pd.testing.assert_series_equal(got, expect, check_names=False, check_dtype=False)
 
-        n = total_count(eng, tree, Q.dfs)
+        n = total_count(eng, tree, reduced)
         assert n == len(joined) == frame[CNT].sum()
-        no_carry = subtree_counts(eng, tree, Q.dfs)[root]
+        no_carry = subtree_counts(eng, tree, reduced)[root]
         assert no_carry[CNT].sum() == n
         if cols:
             grouped = grouped_counts(eng, tree, dfs, carry).set_index(cols)[CNT].sort_index()
