@@ -30,8 +30,7 @@ def small_join(small_q):
 def test_deterministic_new(benchmark, small_q, small_join, objective):
     res = benchmark.pedantic(
         lambda: relational_cluster(
-            small_q, K, 0.8, objective, method="slow", seed=0,
-            coreset_kwargs={"c_g": 0.3, "max_cells": 60_000},
+            small_q, K, 0.8, objective, method="slow", seed=0
         ),
         rounds=1,
         iterations=1,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering import cluster
 from repro.core.coreset_fast import Coreset, phi_scale
 from repro.geometry.boxes import Box, dist_point_box, subtract_many
 from repro.geometry.grid import GridParams, condition3, enumerate_cells
@@ -28,8 +27,8 @@ def build_coreset_slow(
     eps_prime: float,
     objective: str,
     *,
-    c_g: float = 2.0,
-    max_cells: int = 5000,
+    c_g: float = 0.3,
+    max_cells: int = 60_000,
     rng: np.random.Generator | None = None,
 ) -> Coreset:
     """Exact-weight coreset of q_u(D) (Algorithm 1 lines 3–20)."""
@@ -60,10 +59,8 @@ def build_coreset_slow(
             # Annuli strictly outside the data bbox contribute nothing.
             if dist_point_box(X[i], bbox) > params.half_extent(j) * np.sqrt(d):
                 continue
-            cells = enumerate_cells(X[i], j, params, bbox, max_cells=max_cells)
-            los = np.reshape([b.lo for b in cells], (-1, d))
-            his = np.reshape([b.hi for b in cells], (-1, d))
-            for box, passes in zip(cells, condition3(X, i, los, his)):
+            los, his = enumerate_cells(X[i], j, params, bbox, max_cells=max_cells)
+            for lo, hi, passes in zip(los, his, condition3(X, i, los, his)):
                 n_cells += 1
                 if n_cells > max_cells:
                     raise RuntimeError(
@@ -72,6 +69,7 @@ def build_coreset_slow(
                     )
                 if not passes:  # condition (3) fails — skip
                     continue
+                box = Box(tuple(lo), tuple(hi))
                 n_processed += 1
                 overlapping = [g for g in G if box.intersect(g) is not None]
                 pieces = subtract_many(box, overlapping)
@@ -102,27 +100,3 @@ def build_coreset_slow(
                 break
     info = {"n_cells": n_cells, "n_processed": n_processed, "phi": params.phi}
     return Coreset(np.asarray(pts), np.asarray(wts, dtype=np.float64), info)
-
-
-def rel_clustering_slow(
-    Q: RelQuery,
-    features_u: list[str],
-    X: np.ndarray,
-    alpha: float,
-    r: float,
-    eps: float,
-    k: int,
-    objective: str,
-    *,
-    discrete: bool = False,
-    rng: np.random.Generator | None = None,
-    **coreset_kwargs,
-) -> tuple[np.ndarray, float, Coreset]:
-    """RelClusteringSlow(q, D, A_u, X, α, r, ε) → (S, r_u, coreset)."""
-    rng = rng or np.random.default_rng(0)
-    C = build_coreset_slow(
-        Q, features_u, X, alpha, r, eps, objective, rng=rng, **coreset_kwargs
-    )
-    S, cost = cluster(C.points, C.weights, k, objective, discrete=discrete, rng=rng)
-    r_u = (1.0 + eps) * cost
-    return S, float(r_u), C

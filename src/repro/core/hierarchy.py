@@ -20,19 +20,24 @@ import pandas as pd
 
 from repro.clustering import cluster
 from repro.clustering.cost import weighted_cost
-from repro.core.coreset_fast import rel_clustering_fast
-from repro.core.coreset_slow import rel_clustering_slow
+from repro.core import coreset_fast
+from repro.core.coreset_slow import build_coreset_slow
 from repro.joins.yannakakis import RelQuery
+
+GAMMA = 2.0  # the approximation factor γ assumed of the black-box clusterer
 
 
 @dataclass
 class NodeResult:
-    """Per-tree-node output: attribute subset A_u, centers S_u, certificate r_u."""
+    """Per-tree-node output: attribute subset A_u, centers S_u, certificate
+    r_u; at an inner node also the coreset's size and its ``info`` dict
+    (cell counts, Φ, …)."""
 
     attrs: tuple[str, ...]
     S: np.ndarray
     r: float
     coreset_size: int = 0
+    info: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -55,13 +60,13 @@ def cross_product(Sv: np.ndarray, Sz: np.ndarray) -> np.ndarray:
     return np.hstack([left, right])
 
 
-def _alpha(eps: float, gamma: float, objective: str, discrete: bool) -> float:
+def _alpha(eps: float, objective: str, discrete: bool) -> float:
     """The α certificate for X = S_v × S_z (Lemma 4.1 / Lemma A.9)."""
     if objective == "median":
         return (
-            2 * (2 + eps) * gamma * np.sqrt(2) if discrete else (1 + eps) * gamma * np.sqrt(2)
+            2 * (2 + eps) * GAMMA * np.sqrt(2) if discrete else (1 + eps) * GAMMA * np.sqrt(2)
         )
-    return 4 * (1 + eps) * gamma if discrete else (1 + eps) * gamma
+    return 4 * (1 + eps) * GAMMA if discrete else (1 + eps) * GAMMA
 
 
 def _leaf(
@@ -94,28 +99,34 @@ def relational_cluster(
     eps: float = 0.5,
     objective: str = "median",
     *,
-    gamma: float = 2.0,
     method: str = "fast",
     discrete: bool = False,
     pool_size: int = 20_000,
     seed: int = 0,
-    coreset_kwargs: dict | None = None,
 ) -> ClusterResult:
     """End-to-end relational k-median / k-means (Theorems 4.2 / A.10).
 
     method: "fast" (Algorithm 2 at inner nodes, randomized) or "slow"
     (Algorithm 1, deterministic exact counting — small instances only).
+    Bad arguments raise ``ValueError`` before any engine work.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if objective not in ("median", "means"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if method not in ("fast", "slow"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "fast" and pool_size < 1:
+        raise ValueError(f"pool_size must be at least 1, got {pool_size}")
     rng = np.random.default_rng(seed)
-    ck = dict(coreset_kwargs or {})
     feats = list(Q.tree.all_features)
     if not feats:
         raise ValueError("query has no feature attributes")
     n = Q.total_count()
     if n == 0:
         raise ValueError("the join is empty: q(D) has no results to cluster")
-    if method not in ("fast", "slow"):
-        raise ValueError(f"unknown method {method!r}")
     nodes: list[NodeResult] = []
     pool = None
 
@@ -130,19 +141,15 @@ def relational_cluster(
         attrs = left.attrs + right.attrs
         X = cross_product(left.S, right.S)
         r = left.r + right.r
-        alpha = _alpha(eps, gamma, objective, discrete)
+        alpha = _alpha(eps, objective, discrete)
         if method == "fast":
             cols = [feats.index(a) for a in attrs]
-            S, r_u, C = rel_clustering_fast(
-                pool[:, cols], n, X, alpha, r, eps, k, objective,
-                discrete=discrete, rng=rng, **ck,
-            )
+            # Called through its module, where perfbench/layers.py wraps it.
+            C = coreset_fast.build_coreset_fast(pool[:, cols], n, X, alpha, r, eps, objective)
         else:
-            S, r_u, C = rel_clustering_slow(
-                Q, list(attrs), X, alpha, r, eps, k, objective,
-                discrete=discrete, rng=rng, **ck,
-            )
-        res = NodeResult(attrs, S, r_u, coreset_size=len(C))
+            C = build_coreset_slow(Q, list(attrs), X, alpha, r, eps, objective, rng=rng)
+        S, r_u = coreset_fast.cluster_coreset(C, k, eps, objective, discrete=discrete, rng=rng)
+        res = NodeResult(attrs, S, r_u, coreset_size=len(C), info=C.info)
         nodes.append(res)
         return res
 

@@ -148,8 +148,7 @@ def deterministic_table(
     for objective in ("median", "means"):
         res_d, t_d = _timed(
             lambda: relational_cluster(
-                Q, k, eps, objective, method="slow", seed=seed,
-                coreset_kwargs={"c_g": 0.3, "max_cells": 60_000},
+                Q, k, eps, objective, method="slow", seed=seed
             )
         )
         res_r, t_r = _timed(

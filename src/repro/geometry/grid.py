@@ -2,13 +2,16 @@
 
 Around each center x_i ∈ X: squares Q_{i,j} of side 2^j·Φ (j = 0 … 2log(αn)),
 annuli V_{i,j} = Q_{i,j} \\ Q_{i,j-1}, each gridded with cells of side
-ε'·2^j·Φ / (c_g·α·√d). With c_g = 10·... the paper's divisor 10·α·d_u is
-recovered (diam(cell) ≤ ε'·2^j·Φ/(c_g·α)); the default c_g is a practical
-constant — see DESIGN.md substitution 3.
+ε'·2^j·Φ / (c_g·α·√d), so diam(cell) ≤ ε'·2^j·Φ/(c_g·α). The paper's side
+ε'·2^j·Φ/(10·α·d) is smaller still; c_g is a practical constant (2 for
+Algorithm 2, 0.3 for Algorithm 1) — see DESIGN.md substitution 3.
 
-Two enumeration modes:
-- ``enumerate_cells``: all grid cells of a level intersecting a bounding box
-  (Algorithm 1, exact/deterministic path);
+A cell is its annulus level j and integer coordinates in the level's grid,
+anchored at the lower corner of Q_{i,j}; ``cell_corners`` turns arrays of
+them into (m, d) lo/hi corner arrays, the form ``condition3`` takes. Two
+enumeration modes:
+- ``enumerate_cells``: the corners of all cells of a level intersecting a
+  bounding box (Algorithm 1, exact/deterministic path);
 - ``candidate_cells_from_points``: only cells containing at least one of the
   given points, found by snapping points to cell coordinates (Algorithm 2's
   pooled path — a cell with no sample can only ever be light).
@@ -39,12 +42,12 @@ class GridParams:
     d: int
     c_g: float = 2.0
 
-    def cell_side(self, j: int) -> float:
-        """Side length of grid cells in annulus V_{i,j}."""
+    def cell_side(self, j):
+        """Side length of grid cells in annulus V_{i,j} (j: int or array)."""
         return self.eps_prime * (2.0**j) * self.phi / (self.c_g * self.alpha * np.sqrt(self.d))
 
-    def half_extent(self, j: int) -> float:
-        """Half side of Q_{i,j} (side 2^j Φ)."""
+    def half_extent(self, j):
+        """Half side of Q_{i,j} (side 2^j Φ; j: int or array)."""
         return (2.0**j) * self.phi / 2.0
 
     def max_level(self, n: int) -> int:
@@ -59,13 +62,14 @@ class GridParams:
         return np.maximum(j, 0).astype(np.int64)
 
 
-def cell_box(x: np.ndarray, j: int, coords: tuple[int, ...], params: GridParams) -> Box:
-    """The box of the grid cell with integer ``coords`` in annulus V_{x,j}
-    (anchored at the lower corner of Q_{x,j})."""
-    side = params.cell_side(j)
-    anchor = np.asarray(x, dtype=float) - params.half_extent(j)
-    lo = anchor + np.asarray(coords, dtype=float) * side
-    return Box(tuple(lo), tuple(lo + side))
+def cell_corners(
+    x: np.ndarray, levels: np.ndarray, coords: np.ndarray, params: GridParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners, (m, d) each, of the cells with annulus levels
+    ``levels`` (m,) and integer coordinates ``coords`` (m, d) around x."""
+    side = params.cell_side(levels)[:, None]
+    lo = np.asarray(x, dtype=float) - params.half_extent(levels)[:, None] + coords * side
+    return lo, lo + side
 
 
 def snap_points(
@@ -91,66 +95,54 @@ def snap_points(
 
 def candidate_cells_from_points(
     x: np.ndarray, P: np.ndarray, idx: np.ndarray, params: GridParams, j_cap: int
-) -> list[tuple[int, tuple[int, ...], np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Cells of the grid around ``x`` containing ≥1 of the points ``P[idx]``.
 
-    Returns [(level, coords, member_idx)] ordered by (level, coords) — the
-    processing order of Algorithm 2 restricted to non-empty cells.
+    Returns (levels (m,), coords (m, d), members) ordered by (level, coords) —
+    the processing order of Algorithm 2 restricted to non-empty cells;
+    ``members[c]`` holds the entries of ``idx`` whose points lie in cell c.
     """
     if len(idx) == 0:
-        return []
+        return np.zeros(0, np.int64), np.zeros((0, P.shape[1]), np.int64), []
     levels, coords = snap_points(x, P[idx], params, j_cap)
     keys = np.column_stack([levels, coords])
     order = np.lexsort(keys.T[::-1])  # stable; level first, then coords
     keys = keys[order]
     # A cell starts wherever the sorted (level, coords) key changes.
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    members = np.split(idx[order], starts[1:])
-    return [
-        (int(keys[s, 0]), tuple(keys[s, 1:].tolist()), m)
-        for s, m in zip(starts, members)
-    ]
+    return keys[starts, 0], keys[starts, 1:], np.split(idx[order], starts[1:])
 
 
 def enumerate_cells(
     x: np.ndarray, j: int, params: GridParams, bbox: Box, max_cells: int = 200_000
-) -> list[Box]:
-    """All cells of annulus V_{x,j} intersecting ``bbox`` (Algorithm 1 path).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corners (los, his) of all cells of annulus V_{x,j} intersecting
+    ``bbox`` (Algorithm 1 path), first coordinate varying fastest.
 
     Skips cells entirely inside Q_{x,j-1} (the annulus hole) for j ≥ 1.
     """
+    x = np.asarray(x, dtype=float)
     side = params.cell_side(j)
     h = params.half_extent(j)
-    anchor = np.asarray(x, dtype=float) - h
-    lo_idx = np.floor((np.maximum(np.asarray(bbox.lo), anchor) - anchor) / side).astype(int)
-    hi_idx = np.ceil((np.minimum(np.asarray(bbox.hi), anchor + 2 * h) - anchor) / side).astype(int)
+    anchor = x - h
+    b_lo, b_hi = np.asarray(bbox.lo), np.asarray(bbox.hi)
+    lo_idx = np.floor((np.maximum(b_lo, anchor) - anchor) / side).astype(int)
+    hi_idx = np.ceil((np.minimum(b_hi, anchor + 2 * h) - anchor) / side).astype(int)
     hi_idx = np.minimum(hi_idx, int(np.ceil(2 * h / side)))
     lo_idx = np.maximum(lo_idx, 0)
     if np.any(hi_idx <= lo_idx):
-        return []
+        return np.zeros((0, len(x))), np.zeros((0, len(x)))
     counts = hi_idx - lo_idx
     if int(np.prod(counts)) > max_cells:
         raise RuntimeError(f"level {j}: {int(np.prod(counts))} cells exceeds max_cells")
-    h_prev = params.half_extent(j - 1) if j >= 1 else None
-    cells: list[Box] = []
-    for flat in range(int(np.prod(counts))):
-        coords = []
-        rem = flat
-        for c in counts:
-            coords.append(rem % int(c))
-            rem //= int(c)
-        coords = tuple(int(lo_idx[i] + coords[i]) for i in range(len(counts)))
-        b = cell_box(np.asarray(x, dtype=float), j, coords, params)
-        if h_prev is not None:
-            # Drop cells fully inside the hole Q_{x,j-1}.
-            inside = all(
-                b.lo[i] >= x[i] - h_prev and b.hi[i] <= x[i] + h_prev for i in range(len(x))
-            )
-            if inside:
-                continue
-        if b.intersect(bbox) is not None:
-            cells.append(b)
-    return cells
+    coords = np.indices(counts).reshape(len(counts), -1, order="F").T + lo_idx
+    los, his = cell_corners(x, np.full(len(coords), j), coords, params)
+    keep = (np.maximum(los, b_lo) < np.minimum(his, b_hi)).all(axis=1)
+    if j >= 1:
+        # Drop cells fully inside the hole Q_{x,j-1}.
+        h_prev = params.half_extent(j - 1)
+        keep &= ~((los >= x - h_prev) & (his <= x + h_prev)).all(axis=1)
+    return los[keep], his[keep]
 
 
 def condition3(X: np.ndarray, i: int, los: np.ndarray, his: np.ndarray) -> np.ndarray:

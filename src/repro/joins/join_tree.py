@@ -2,9 +2,10 @@
 
 A :class:`JoinTree` describes the query q = R1 ⋈ … ⋈ Rm: relations with their
 attributes, which attributes are clustering features, and the tree edges with
-their shared join attributes. The tree can be re-rooted at any relation —
-Algorithm 3 needs this to compute per-root-tuple counts c(h) with an arbitrary
-relation at the root of the Yannakakis pass.
+their shared join attributes. The tree can be re-rooted at any relation
+(``rerooted``); the counting DPs give the same |q(D)| and per-tuple
+multiplicities from every root. Algorithm 3 itself needs no re-rooting: one
+up–down pass from the declared root gives every relation's multiplicities.
 """
 from __future__ import annotations
 

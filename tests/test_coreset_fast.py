@@ -6,8 +6,8 @@ from repro.clustering.cost import weighted_cost
 from repro.core.coreset_fast import (
     Coreset,
     build_coreset_fast,
+    cluster_coreset,
     phi_scale,
-    rel_clustering_fast,
 )
 
 
@@ -66,7 +66,7 @@ class TestCoresetQuality:
         P, X = planted_pool(4, n=8000)
         n = 8000
         r = weighted_cost(P, X, None, objective)
-        C = build_coreset_fast(P, n, X, 2.0, r, 1.0, objective, tau=0.0)
+        C = build_coreset_fast(P, n, X, 2.0, r, 1.0, objective)
         assert len(C) < len(P) / 4
 
     def test_points_come_from_pool(self, objective):
@@ -79,34 +79,17 @@ class TestCoresetQuality:
 
 
 class TestHeavyLight:
-    def test_tau_zero_claims_everything(self):
-        P, X = planted_pool(6, n=1000)
+    def test_light_mass_appended_at_the_constants(self):
+        """Light cells leave pool points unclaimed; each is appended with
+        weight n/|pool|, so the coreset keeps all of the mass."""
+        P, X = planted_pool(7, n=8000)  # seed 7: some light points stay unclaimed
         r = weighted_cost(P, X, None, "median")
-        C = build_coreset_fast(P, 1000, X, 2.0, r, 0.5, "median", tau=0.0, include_unclaimed=False)
-        assert C.info["unclaimed_frac"] == 0.0
-
-    def test_high_tau_leaves_light_mass(self):
-        P, X = planted_pool(7, n=1000)
-        r = weighted_cost(P, X, None, "median")
-        C = build_coreset_fast(
-            P, 1000, X, 2.0, r, 0.5, "median", tau=0.51, include_unclaimed=False
-        )
-        # With 2τ > 1 no cell can ever be heavy.
-        assert C.info["n_heavy"] == 0
-        assert C.info["unclaimed_frac"] == 1.0
-
-    def test_include_unclaimed_restores_mass(self):
-        P, X = planted_pool(8, n=500)
-        r = weighted_cost(P, X, None, "median")
-        C = build_coreset_fast(P, 500, X, 2.0, r, 0.5, "median", tau=0.51, include_unclaimed=True)
-        assert C.total_weight == pytest.approx(500.0)
-
-    def test_min_hits_filters_small_cells(self):
-        P, X = planted_pool(9, n=2000)
-        r = weighted_cost(P, X, None, "median")
-        c1 = build_coreset_fast(P, 2000, X, 2.0, r, 0.3, "median", min_hits=1, include_unclaimed=False)
-        c5 = build_coreset_fast(P, 2000, X, 2.0, r, 0.3, "median", min_hits=25, include_unclaimed=False)
-        assert c5.info["n_heavy"] <= c1.info["n_heavy"]
+        C = build_coreset_fast(P, 8000, X, 2.0, r, 1.0, "median")
+        info = C.info
+        assert info["n_light"] > 0 and info["unclaimed_frac"] > 0
+        assert info["n_cells"] == info["n_heavy"] + info["n_light"] + info["n_skipped_cond3"]
+        assert len(C) == info["n_heavy"] + round(info["unclaimed_frac"] * len(P))
+        assert C.total_weight == pytest.approx(8000, rel=1e-9)
 
     def test_condition3_skips_far_cells(self):
         """A far-away center's distant cells fail condition (3)."""
@@ -118,6 +101,13 @@ class TestHeavyLight:
         assert C.info["n_skipped_cond3"] > 0
 
 
+def build_and_cluster(P, n, X0, r, k, objective, *, discrete=False, rng=None):
+    """Algorithm 2 at one node: the coreset of the pool, then its clustering."""
+    C = build_coreset_fast(P, n, X0, 2.0, r, 0.5, objective)
+    S, r_u = cluster_coreset(C, k, 0.5, objective, discrete=discrete, rng=rng)
+    return S, r_u, C
+
+
 class TestRelClusteringFast:
     @pytest.mark.parametrize("objective", ["median", "means"])
     def test_near_optimal_on_planted(self, objective):
@@ -127,9 +117,7 @@ class TestRelClusteringFast:
 
         S_direct, cost_direct = cluster(P, None, 3, objective, rng=np.random.default_rng(0))
         r = weighted_cost(P, X0, None, objective)
-        S, r_u, C = rel_clustering_fast(
-            P, n, X0, 2.0, r, 0.5, 3, objective, rng=np.random.default_rng(0)
-        )
+        S, r_u, C = build_and_cluster(P, n, X0, r, 3, objective, rng=np.random.default_rng(0))
         cost = weighted_cost(P, S, None, objective)
         assert cost <= 1.3 * cost_direct
         assert len(S) == 3
@@ -137,14 +125,20 @@ class TestRelClusteringFast:
     def test_r_u_upper_bounds_cost(self):
         P, X0 = planted_pool(12, n=3000)
         r = weighted_cost(P, X0, None, "median")
-        S, r_u, C = rel_clustering_fast(P, 3000, X0, 2.0, r, 0.5, 3, "median")
+        S, r_u, C = build_and_cluster(P, 3000, X0, r, 3, "median")
         cost = weighted_cost(P, S, None, "median")
         assert r_u >= cost * 0.95  # r_u certifies the cost (up to sampling noise)
+
+    def test_r_u_is_inflated_coreset_cost(self):
+        P, X0 = planted_pool(12, n=3000)
+        r = weighted_cost(P, X0, None, "median")
+        S, r_u, C = build_and_cluster(P, 3000, X0, r, 3, "median")
+        assert r_u == pytest.approx(1.5 * weighted_cost(C.points, S, C.weights, "median"))
 
     def test_discrete_centers_from_pool(self):
         P, X0 = planted_pool(13, n=800)
         r = weighted_cost(P, X0, None, "means")
-        S, _, _ = rel_clustering_fast(P, 800, X0, 2.0, r, 0.5, 2, "means", discrete=True)
+        S, _, _ = build_and_cluster(P, 800, X0, r, 2, "means", discrete=True)
         pool_set = {tuple(p) for p in np.round(P, 9)}
         for s in np.round(S, 9):
             assert tuple(s) in pool_set

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from repro.clustering.cost import weighted_cost
-from repro.core.coreset_fast import build_coreset_fast
-from repro.core.coreset_slow import build_coreset_slow, rel_clustering_slow
+from repro.core.coreset_fast import build_coreset_fast, cluster_coreset
+from repro.core.coreset_slow import build_coreset_slow
 from repro.joins.engine import LocalEngine
 from repro.joins.yannakakis import RelQuery
 from tests.conftest import brute_force_join
@@ -91,10 +91,11 @@ class TestSlowVsFast:
         Q, joined = inst
         feats = ["fa", "fb"]
         X, r, P = setup_X(Q, joined, feats, seed=6)
-        S_slow, ru_slow, _ = rel_clustering_slow(
-            Q, feats, X, 2.0, r, 0.5, 2, "median", c_g=0.5, max_cells=4000,
-            rng=np.random.default_rng(0),
+        rng = np.random.default_rng(0)
+        C_slow = build_coreset_slow(
+            Q, feats, X, 2.0, r, 0.5, "median", c_g=0.5, max_cells=4000, rng=rng
         )
+        S_slow, _ = cluster_coreset(C_slow, 2, 0.5, "median", rng=rng)
         C_fast = build_coreset_fast(P, len(P), X, 2.0, r, 0.5, "median")
         from repro.clustering import cluster
 
@@ -110,9 +111,10 @@ class TestSlowVsFast:
         from repro.clustering import cluster
 
         S_direct, cost_direct = cluster(P, None, 2, "median", rng=np.random.default_rng(0))
-        S_slow, _, _ = rel_clustering_slow(
-            Q, feats, X, 2.0, r, 0.4, 2, "median", c_g=1.0, max_cells=6000,
-            rng=np.random.default_rng(0),
+        rng = np.random.default_rng(0)
+        C_slow = build_coreset_slow(
+            Q, feats, X, 2.0, r, 0.4, "median", c_g=1.0, max_cells=6000, rng=rng
         )
+        S_slow, _ = cluster_coreset(C_slow, 2, 0.4, "median", rng=rng)
         cost_slow = weighted_cost(P, S_slow, None, "median")
         assert cost_slow <= 1.4 * cost_direct

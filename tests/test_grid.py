@@ -8,7 +8,7 @@ from repro.geometry.boxes import Box, dist_point_box
 from repro.geometry.grid import (
     GridParams,
     candidate_cells_from_points,
-    cell_box,
+    cell_corners,
     condition3,
     enumerate_cells,
     snap_points,
@@ -67,8 +67,9 @@ class TestSnapping:
         x = g.normal(size=3)
         P = x + g.normal(scale=2.0, size=(50, 3))
         levels, coords = snap_points(x, P, p, j_cap=40)
+        los, his = cell_corners(x, levels, coords, p)
         for i in range(len(P)):
-            b = cell_box(x, int(levels[i]), tuple(coords[i]), p)
+            b = Box(tuple(los[i]), tuple(his[i]))
             assert b.contains(P[i]), (P[i], b)
 
     def test_j_cap_respected(self):
@@ -84,18 +85,17 @@ class TestSnapping:
         x = np.zeros(2)
         P = g.normal(size=(200, 2))
         idx = np.arange(len(P))
-        cells = candidate_cells_from_points(x, P, idx, p, j_cap=40)
-        seen = np.concatenate([m for _, _, m in cells])
+        _, _, members = candidate_cells_from_points(x, P, idx, p, j_cap=40)
+        seen = np.concatenate(members)
         assert sorted(seen.tolist()) == idx.tolist()  # every point in exactly one cell
 
     def test_candidate_cells_sorted_by_level(self):
         g = np.random.default_rng(8)
         p = params(phi=0.05, d=2)
-        cells = candidate_cells_from_points(
+        levels, _, _ = candidate_cells_from_points(
             np.zeros(2), g.normal(size=(100, 2)), np.arange(100), p, j_cap=40
         )
-        levels = [j for j, _, _ in cells]
-        assert levels == sorted(levels)
+        assert levels.tolist() == sorted(levels.tolist())
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
@@ -111,17 +111,20 @@ class TestSnapping:
         for i, j, cc in zip(idx, levels, coords):
             groups.setdefault((int(j), tuple(int(c) for c in cc)), []).append(int(i))
         expect = [(j, cc, groups[(j, cc)]) for j, cc in sorted(groups)]
-        got = candidate_cells_from_points(x, P, idx, p, j_cap=6)
-        assert [(j, cc, m.tolist()) for j, cc, m in got] == expect
-        assert all(m.dtype == idx.dtype for _, _, m in got)
+        levels, coords, members = candidate_cells_from_points(x, P, idx, p, j_cap=6)
+        got = [
+            (int(j), tuple(cc.tolist()), m.tolist())
+            for j, cc, m in zip(levels, coords, members)
+        ]
+        assert got == expect
+        assert coords.shape == (len(members), d)
+        assert all(m.dtype == idx.dtype for m in members)
 
     def test_empty_index(self):
-        assert (
-            candidate_cells_from_points(
-                np.zeros(2), np.zeros((0, 2)), np.arange(0), params(), 10
-            )
-            == []
+        levels, coords, members = candidate_cells_from_points(
+            np.zeros(2), np.zeros((0, 2)), np.arange(0), params(), 10
         )
+        assert levels.shape == (0,) and coords.shape == (0, 2) and members == []
 
 
 class TestEnumeration:
@@ -134,33 +137,118 @@ class TestEnumeration:
         bbox = Box((0.0, 0.0), (1.0, 1.0))
         levels, coords = snap_points(x, P, p, j_cap=p.max_level(100))
         for j in np.unique(levels):
-            cells = enumerate_cells(x, int(j), p, bbox)
+            los, his = enumerate_cells(x, int(j), p, bbox)
             for i in np.flatnonzero(levels == j):
-                assert any(b.contains(P[i]) for b in cells)
+                assert ((los <= P[i]) & (P[i] < his)).all(axis=1).any()
 
     def test_hole_cells_skipped(self):
         p = params(phi=1.0, d=2, c_g=2.0)
         x = np.zeros(2)
         big = Box((-100.0, -100.0), (100.0, 100.0))
-        cells = enumerate_cells(x, 4, p, big)
+        los, his = enumerate_cells(x, 4, p, big)
         h_prev = p.half_extent(3)
-        for b in cells:
+        assert len(los) > 0
+        for lo, hi in zip(los, his):
             inside_hole = all(
-                b.lo[i] >= -h_prev and b.hi[i] <= h_prev for i in range(2)
+                lo[i] >= -h_prev and hi[i] <= h_prev for i in range(2)
             )
             assert not inside_hole
 
     def test_bbox_clipping(self):
         p = params(phi=1.0, d=2)
-        cells_all = enumerate_cells(np.zeros(2), 2, p, Box((-10, -10), (10, 10)))
+        los_all, _ = enumerate_cells(np.zeros(2), 2, p, Box((-10, -10), (10, 10)))
         # Clip box overlapping the annulus (not its hole Q_{i,1}).
-        cells_clip = enumerate_cells(np.zeros(2), 2, p, Box((1.2, 1.2), (1.8, 1.8)))
-        assert 0 < len(cells_clip) < len(cells_all)
+        los_clip, _ = enumerate_cells(np.zeros(2), 2, p, Box((1.2, 1.2), (1.8, 1.8)))
+        assert 0 < len(los_clip) < len(los_all)
 
     def test_max_cells_guard(self):
         p = params(phi=1.0, d=2, eps=0.01)
         with pytest.raises(RuntimeError):
             enumerate_cells(np.zeros(2), 8, p, Box((-99, -99), (99, 99)), max_cells=10)
+
+    def test_empty_when_bbox_misses_the_level(self):
+        los, his = enumerate_cells(np.zeros(2), 0, params(phi=1.0), Box((5, 5), (6, 6)))
+        assert los.shape == his.shape == (0, 2)
+
+
+def cell_box_scalar(x, j: int, coords: tuple[int, ...], p: GridParams) -> Box:
+    """Reference: the box of one grid cell, built one coordinate tuple at a time."""
+    side = p.cell_side(j)
+    anchor = np.asarray(x, dtype=float) - p.half_extent(j)
+    lo = anchor + np.asarray(coords, dtype=float) * side
+    return Box(tuple(lo), tuple(lo + side))
+
+
+def enumerate_cells_scalar(x, j: int, p: GridParams, bbox: Box) -> list[Box]:
+    """Reference: the cells of V_{x,j} meeting ``bbox``, one flat index at a
+    time (first coordinate fastest), with per-cell hole and bbox tests."""
+    side = p.cell_side(j)
+    h = p.half_extent(j)
+    anchor = np.asarray(x, dtype=float) - h
+    lo_idx = np.floor((np.maximum(np.asarray(bbox.lo), anchor) - anchor) / side).astype(int)
+    hi_idx = np.ceil((np.minimum(np.asarray(bbox.hi), anchor + 2 * h) - anchor) / side).astype(int)
+    hi_idx = np.minimum(hi_idx, int(np.ceil(2 * h / side)))
+    lo_idx = np.maximum(lo_idx, 0)
+    if np.any(hi_idx <= lo_idx):
+        return []
+    counts = hi_idx - lo_idx
+    h_prev = p.half_extent(j - 1) if j >= 1 else None
+    cells = []
+    for flat in range(int(np.prod(counts))):
+        coords, rem = [], flat
+        for c in counts:
+            coords.append(rem % int(c))
+            rem //= int(c)
+        b = cell_box_scalar(x, j, tuple(int(lo_idx[i] + coords[i]) for i in range(len(counts))), p)
+        if h_prev is not None and all(
+            b.lo[i] >= x[i] - h_prev and b.hi[i] <= x[i] + h_prev for i in range(len(x))
+        ):
+            continue
+        if b.intersect(bbox) is not None:
+            cells.append(b)
+    return cells
+
+
+class TestVectorizedCells:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_enumerate_cells_matches_scalar_reference(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        p = params(
+            phi=data.draw(st.sampled_from([0.05, 0.3, 1.0]), label="phi"),
+            eps=data.draw(st.sampled_from([0.3, 0.8]), label="eps"),
+            d=d,
+            c_g=data.draw(st.sampled_from([0.3, 0.5, 2.0]), label="c_g"),
+        )
+        coord = st.floats(-3.0, 3.0)
+        x = np.array(data.draw(st.lists(coord, min_size=d, max_size=d), label="x"))
+        lo = np.array(data.draw(st.lists(coord, min_size=d, max_size=d), label="lo"))
+        ext = np.array(data.draw(st.lists(st.floats(0.01, 4.0), min_size=d, max_size=d)))
+        bbox = Box(tuple(lo), tuple(lo + ext))
+        j = data.draw(st.integers(0, 5), label="j")
+        expect = enumerate_cells_scalar(x, j, p, bbox)
+        los, his = enumerate_cells(x, j, p, bbox, max_cells=10**7)
+        assert np.array_equal(los, np.reshape([b.lo for b in expect], (-1, d)))
+        assert np.array_equal(his, np.reshape([b.hi for b in expect], (-1, d)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cell_corners_match_scalar_reference(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        m = data.draw(st.integers(0, 6), label="m")
+        p = params(phi=data.draw(st.sampled_from([1e-3, 0.1, 7.0])), d=d)
+        x = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d)))
+        levels = np.array(data.draw(st.lists(st.integers(0, 40), min_size=m, max_size=m)), int)
+        coords = np.array(
+            data.draw(
+                st.lists(st.lists(st.integers(-5, 10**4), min_size=d, max_size=d), min_size=m, max_size=m)
+            ),
+            int,
+        ).reshape(m, d)
+        los, his = cell_corners(x, levels, coords, p)
+        expect = [cell_box_scalar(x, int(j), tuple(c), p) for j, c in zip(levels, coords)]
+        assert np.array_equal(los, np.reshape([b.lo for b in expect], (-1, d)))
+        assert np.array_equal(his, np.reshape([b.hi for b in expect], (-1, d)))
 
 
 def corners(*boxes: Box) -> tuple[np.ndarray, np.ndarray]:

@@ -29,17 +29,17 @@ class TestCrossProduct:
 class TestAlpha:
     def test_median_geometric(self):
         # Lemma 4.1: α = (1+ε)γ√2.
-        assert _alpha(0.5, 2.0, "median", False) == pytest.approx(1.5 * 2 * np.sqrt(2))
+        assert _alpha(0.5, "median", False) == pytest.approx(1.5 * 2 * np.sqrt(2))
 
     def test_median_discrete(self):
-        assert _alpha(0.5, 2.0, "median", True) == pytest.approx(2 * 2.5 * 2 * np.sqrt(2))
+        assert _alpha(0.5, "median", True) == pytest.approx(2 * 2.5 * 2 * np.sqrt(2))
 
     def test_means_geometric(self):
         # Lemma A.9: α = (1+ε)γ.
-        assert _alpha(0.5, 2.0, "means", False) == pytest.approx(3.0)
+        assert _alpha(0.5, "means", False) == pytest.approx(3.0)
 
     def test_ordering(self):
-        assert _alpha(0.1, 2.0, "median", False) < _alpha(0.1, 2.0, "median", True)
+        assert _alpha(0.1, "median", False) < _alpha(0.1, "median", True)
 
 
 @pytest.mark.parametrize("objective", ["median", "means"])
@@ -179,31 +179,100 @@ class TestApi:
         with pytest.raises(ValueError):
             relational_cluster(chain_small, 2, method="nope")
 
-    def test_slow_method_end_to_end(self, local):
+    def test_slow_method_end_to_end(self, two_features):
         """Algorithm 1 inside Algorithm 3 on a tiny 2-feature instance."""
-        import pandas as pd
-
-        from repro.joins.join_tree import JoinTree, Relation
-        from repro.joins.yannakakis import RelQuery
-
-        g = np.random.default_rng(1)
-        tree = JoinTree(
-            [Relation("A", ("x", "f1"), ("f1",)), Relation("B", ("x", "f2"), ("f2",))],
-            [("A", "B", ["x"])],
-            root="A",
-        )
-        tables = {
-            "A": pd.DataFrame({"x": g.integers(0, 4, 30), "f1": g.random(30)}),
-            "B": pd.DataFrame({"x": g.integers(0, 4, 30), "f2": g.random(30)}),
-        }
-        Q = RelQuery(local, tree, tables)
-        res = relational_cluster(
-            Q, 2, 0.5, "median", method="slow", seed=0,
-            coreset_kwargs={"c_g": 0.5, "max_cells": 4000},
-        )
+        Q, P = two_features
+        res = relational_cluster(Q, 2, 0.5, "median", method="slow", seed=0)
         assert res.centers.shape == (2, 2)
-        from tests.conftest import brute_force_join
-
-        P = brute_force_join(tree, tables)[["f1", "f2"]].to_numpy(float)
         _, cost_fj, _ = full_join_cluster(Q, 2, "median", P=P)
         assert exact_cost(P, res.centers, "median") <= 1.6 * cost_fj
+
+
+@pytest.fixture(scope="module")
+def two_features(local):
+    """A tiny 2-feature join A(x, f1) ⋈ B(x, f2) and its materialized features."""
+    import pandas as pd
+
+    from repro.joins.join_tree import JoinTree, Relation
+    from repro.joins.yannakakis import RelQuery
+    from tests.conftest import brute_force_join
+
+    g = np.random.default_rng(1)
+    tree = JoinTree(
+        [Relation("A", ("x", "f1"), ("f1",)), Relation("B", ("x", "f2"), ("f2",))],
+        [("A", "B", ["x"])],
+        root="A",
+    )
+    tables = {
+        "A": pd.DataFrame({"x": g.integers(0, 4, 30), "f1": g.random(30)}),
+        "B": pd.DataFrame({"x": g.integers(0, 4, 30), "f2": g.random(30)}),
+    }
+    P = brute_force_join(tree, tables)[["f1", "f2"]].to_numpy(float)
+    return RelQuery(local, tree, tables), P
+
+
+class NoEngineWork:
+    """A query that only exposes its join tree: any engine call fails, so a
+    ValueError from it shows the arguments were checked first."""
+
+    def __init__(self, Q):
+        self.tree = Q.tree
+
+    def __getattr__(self, name):
+        raise AssertionError(f"engine work ({name}) before the argument checks")
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"k": 0}, "k must be at least 1"),
+            ({"k": -1}, "k must be at least 1"),
+            ({"eps": -1.0}, "eps must be positive"),
+            ({"eps": 0.0}, "eps must be positive"),
+            ({"pool_size": 0}, "pool_size must be at least 1"),
+            ({"objective": "medain"}, "unknown objective"),
+            ({"method": "nope"}, "unknown method"),
+        ],
+    )
+    def test_rejected_before_engine_work(self, chain_small, kw, match):
+        args = {"k": 2, "eps": 0.5, "objective": "median", **kw}
+        with pytest.raises(ValueError, match=match):
+            relational_cluster(NoEngineWork(chain_small), **args)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"k": 0}, "k must be at least 1"),
+            ({"eps": -1.0}, "eps must be positive"),
+            ({"pool_size": 0}, "pool_size must be at least 1"),
+        ],
+    )
+    def test_rejected_on_a_real_query(self, chain_small, kw, match):
+        args = {"k": 2, "eps": 0.5, "pool_size": 1500, **kw}
+        with pytest.raises(ValueError, match=match):
+            rel_kmedian(chain_small, **args)
+
+    def test_slow_method_ignores_pool_size(self, two_features):
+        Q, _ = two_features
+        res = relational_cluster(Q, 2, 0.5, "median", method="slow", pool_size=0, seed=0)
+        assert res.centers.shape == (2, 2)
+
+
+class TestNodeInfo:
+    def test_fast_root_info(self, chain_small):
+        res = relational_cluster(chain_small, 2, 0.5, "median", pool_size=1500, seed=0)
+        root = res.nodes[-1]
+        assert len(root.attrs) == 3
+        info = root.info
+        assert info["n_cells"] == info["n_heavy"] + info["n_light"] + info["n_skipped_cond3"]
+        assert root.coreset_size == info["n_heavy"] + round(info["unclaimed_frac"] * 1500)
+        assert all(nd.info == {} for nd in res.nodes if len(nd.attrs) == 1)
+
+    def test_slow_root_info(self, two_features):
+        Q, _ = two_features
+        res = relational_cluster(Q, 2, 0.5, "means", method="slow", seed=0)
+        root = res.nodes[-1]
+        assert root.attrs == ("f1", "f2")
+        assert 0 < root.info["n_processed"] <= root.info["n_cells"]
+        assert root.coreset_size > 0
