@@ -1,9 +1,9 @@
 """Table 1, deterministic (D) rows (measured): Algorithm 1 at small scale.
 
-The deterministic path is Ω(|X|^{d+1}·N·polylog) with exact CountRect per
-arrangement piece; it is benchmarked on the in-memory engine at small N
-(per-piece Spark jobs would measure scheduler overhead, not the algorithm —
-see DESIGN.md), next to the randomized algorithm on the same instance.
+The deterministic path enumerates full grids, Ω(|X|^{d+1}·N·polylog) cells,
+and weighs them with one carried counting DP per node. It is benchmarked on
+the in-memory engine at small N, next to the randomized algorithm on the
+same instance; ``jobs/table1_deterministic.py`` runs the same rows on Spark.
 """
 import pytest
 

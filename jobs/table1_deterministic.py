@@ -1,9 +1,8 @@
-"""Table 1 (deterministic D rows) — Algorithm 1 inside Algorithm 3, small scale.
+"""Table 1 (deterministic D rows) — Algorithm 1 inside Algorithm 3, on Spark.
 
-The exact path launches one counting DP per arrangement piece; on Spark the
-per-job scheduling overhead (not the algorithm) dominates at this cell count,
-so this job runs the deterministic comparison on the in-memory engine and the
-randomized row on Spark for reference (see EXPERIMENTS.md).
+Each Algorithm 1 node is one carried counting DP plus one sampling pass, so
+the deterministic rows run on Spark like the other tables, next to the
+randomized algorithm and the full-join reference on the same instance.
 
 Run:  spark-submit jobs/table1_deterministic.py  [--n 120]
 """
@@ -11,6 +10,7 @@ import argparse
 import sys
 
 sys.path.insert(0, ".")
+from jobs._session import get_spark  # noqa: E402
 
 
 def main() -> None:
@@ -21,11 +21,13 @@ def main() -> None:
     args = ap.parse_args()
 
     from repro.experiments import deterministic_table, format_md
-    from repro.joins.engine import LocalEngine
+    from repro.joins.engine import SparkEngine
 
-    df = deterministic_table(LocalEngine(), n=args.n, k=args.k, seed=args.seed)
-    print("\n# Table 1 — deterministic rows (measured, in-memory engine)\n")
+    spark = get_spark()
+    df = deterministic_table(SparkEngine(spark), n=args.n, k=args.k, seed=args.seed)
+    print("\n# Table 1 — deterministic rows (measured)\n")
     print(format_md(df))
+    spark.stop()
 
 
 if __name__ == "__main__":

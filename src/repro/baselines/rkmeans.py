@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from repro.clustering import cluster
+from repro.clustering.cost import assign
 from repro.core.coreset_fast import Coreset
 from repro.joins.yannakakis import CNT, RelQuery, grouped_counts
 
@@ -46,8 +47,10 @@ def rkmeans(
         if len(P) > per_relation_sample:
             P = P[rng.choice(len(P), per_relation_sample, replace=False)]
         C, _ = cluster(P, None, k, objective, rng=rng)
-        rel_centers[name] = np.atleast_2d(C)
-        tagged[name] = eng.assign_nearest(df, list(rel.features), rel_centers[name], f"__cid_{name}")
+        C = rel_centers[name] = np.atleast_2d(C)
+        tagged[name] = eng.label_rows(
+            df, list(rel.features), lambda P, C=C: assign(P, C), f"__cid_{name}"
+        )
     t_assign = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -107,7 +107,9 @@ def relational_cluster(
     """End-to-end relational k-median / k-means (Theorems 4.2 / A.10).
 
     method: "fast" (Algorithm 2 at inner nodes, randomized) or "slow"
-    (Algorithm 1, deterministic exact counting — small instances only).
+    (Algorithm 1, deterministic exact counting: one carried counting DP and
+    one sampling pass per inner node, but a full grid, exponential in the
+    node's dimension, is enumerated and claimed on the driver).
     Bad arguments raise ``ValueError`` before any engine work.
     """
     if k < 1:

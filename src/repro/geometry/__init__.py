@@ -1,11 +1,10 @@
-"""Geometric substrate: axis-parallel boxes, arrangement complements, and the
-paper's exponential grids with the condition-(3) cell filter."""
-from repro.geometry.boxes import Box, subtract_many
+"""Geometric substrate: axis-parallel boxes and the paper's exponential grids
+with the condition-(3) cell filter."""
+from repro.geometry.boxes import Box
 from repro.geometry.grid import GridParams, candidate_cells_from_points, enumerate_cells
 
 __all__ = [
     "Box",
-    "subtract_many",
     "GridParams",
     "candidate_cells_from_points",
     "enumerate_cells",

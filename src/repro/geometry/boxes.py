@@ -1,12 +1,9 @@
-"""Axis-parallel boxes in R^d: distances, containment, and box subtraction.
+"""Axis-parallel boxes in R^d and point–box distances.
 
-``subtract_many`` is the arrangement machinery of Algorithm 1: it decomposes
-□ \\ G (a cell minus the already-processed cells) into disjoint
-hyper-rectangles — the ``Arr'(G_□)`` pieces on which CountRect runs.
-
-Cells use half-open semantics [lo, hi) for point membership so that grid
-cells partition space exactly; distance computations treat boxes as closed
-(the difference is measure-zero and irrelevant to condition (3)).
+``Box`` is the data bounding box the grids are cut from. Cells use half-open
+semantics [lo, hi) for point membership so that grid cells partition space
+exactly; distance computations treat boxes as closed (the difference is
+measure-zero and irrelevant to condition (3)).
 """
 from __future__ import annotations
 
@@ -27,43 +24,10 @@ class Box:
             raise ValueError("lo/hi dimension mismatch")
 
     @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @property
     def diam(self) -> float:
         """Euclidean diameter (corner to corner)."""
         lo, hi = np.asarray(self.lo), np.asarray(self.hi)
         return float(np.sqrt(((hi - lo) ** 2).sum()))
-
-    def is_empty(self) -> bool:
-        return any(h <= l for l, h in zip(self.lo, self.hi))
-
-    def volume(self) -> float:
-        if self.is_empty():
-            return 0.0
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
-
-    def contains(self, p) -> bool:
-        """Half-open membership lo <= p < hi."""
-        return all(l <= x < h for l, x, h in zip(self.lo, p, self.hi))
-
-    def contains_points(self, P: np.ndarray) -> np.ndarray:
-        """Vectorized half-open membership mask for an (n, d) array."""
-        lo = np.asarray(self.lo)[None, :]
-        hi = np.asarray(self.hi)[None, :]
-        return ((P >= lo) & (P < hi)).all(axis=1)
-
-    def intersect(self, other: "Box") -> "Box | None":
-        """Intersection box, or None if empty."""
-        lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
-        b = Box(lo, hi)
-        return None if b.is_empty() else b
-
-    def as_dict(self, attrs) -> dict[str, tuple[float, float]]:
-        """Box as {attr: (lo, hi)} for RelQuery.count_rect / sample_rect."""
-        return {a: (l, h) for a, l, h in zip(attrs, self.lo, self.hi)}
 
 
 def dist_point_box(p, box: Box) -> float:
@@ -79,39 +43,3 @@ def dist_points_boxes(P: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.nda
     → (n, m) Euclidean distances."""
     d = np.maximum(np.maximum(los[None, :, :] - P[:, None, :], P[:, None, :] - his[None, :, :]), 0.0)
     return np.sqrt((d**2).sum(axis=2))
-
-
-def subtract_one(box: Box, other: Box) -> list[Box]:
-    """box \\ other as ≤ 2d disjoint boxes (classic slab decomposition)."""
-    inter = box.intersect(other)
-    if inter is None:
-        return [box]
-    pieces: list[Box] = []
-    lo = list(box.lo)
-    hi = list(box.hi)
-    for i in range(box.dim):
-        if lo[i] < inter.lo[i]:
-            p_lo, p_hi = lo.copy(), hi.copy()
-            p_hi[i] = inter.lo[i]
-            pieces.append(Box(tuple(p_lo), tuple(p_hi)))
-        if inter.hi[i] < hi[i]:
-            p_lo, p_hi = lo.copy(), hi.copy()
-            p_lo[i] = inter.hi[i]
-            pieces.append(Box(tuple(p_lo), tuple(p_hi)))
-        lo[i], hi[i] = inter.lo[i], inter.hi[i]
-    return pieces
-
-
-def subtract_many(box: Box, others, max_pieces: int = 10_000) -> list[Box]:
-    """box \\ (∪ others) as disjoint boxes — Arr'(G_□) of Algorithm 1."""
-    pieces = [box]
-    for g in others:
-        nxt: list[Box] = []
-        for p in pieces:
-            nxt.extend(subtract_one(p, g))
-        pieces = nxt
-        if len(pieces) > max_pieces:
-            raise RuntimeError(
-                f"arrangement exceeded {max_pieces} pieces; shrink the grid"
-            )
-    return [p for p in pieces if not p.is_empty()]

@@ -22,11 +22,6 @@ class Engine(ABC):
         """SELECT cols [DISTINCT]."""
 
     @abstractmethod
-    def filter_range(self, df, col: str, lo: float, hi: float, right_closed: bool = True):
-        """WHERE lo <= col <= hi (closed, the paper's boxes) or lo <= col < hi
-        (half-open — grid cells, so adjacent cells never double-count)."""
-
-    @abstractmethod
     def join(self, a, b, on: Sequence[str], how: str = "inner"):
         """Equi-join on shared column names; ``b`` must only add new columns."""
 
@@ -56,8 +51,9 @@ class Engine(ABC):
         """Create an engine-native frame from pandas."""
 
     @abstractmethod
-    def sum_col(self, df, col: str) -> float:
-        """SUM(col) over all rows (0.0 for an empty frame)."""
+    def sum_col(self, df, col: str) -> int:
+        """SUM(col) of an integer column as an exact Python int (0 for an
+        empty frame)."""
 
     @abstractmethod
     def minmax(self, df, cols: Sequence[str]) -> dict[str, tuple[float, float]]:
@@ -115,8 +111,10 @@ class Engine(ABC):
         return out
 
     @abstractmethod
-    def assign_nearest(self, df, cols: Sequence[str], centers: np.ndarray, out: str):
-        """Add column ``out`` = index of nearest center (Euclidean) over ``cols``."""
+    def label_rows(self, df, cols: Sequence[str], fn, out: str):
+        """Add the int64 column ``out`` = ``fn(P)``, where P is the (n, len(cols))
+        float64 array of ``cols`` and ``fn`` returns one label per row (a
+        nearest-center index, an interval id, ...)."""
 
 
 class LocalEngine(Engine):
@@ -125,10 +123,6 @@ class LocalEngine(Engine):
     def project(self, df, cols, distinct=False):
         out = df[list(cols)]
         return out.drop_duplicates().reset_index(drop=True) if distinct else out.copy()
-
-    def filter_range(self, df, col, lo, hi, right_closed=True):
-        upper = df[col] <= hi if right_closed else df[col] < hi
-        return df[(df[col] >= lo) & upper].reset_index(drop=True)
 
     def join(self, a, b, on, how="inner"):
         return a.merge(b, on=list(on), how=how)
@@ -161,7 +155,7 @@ class LocalEngine(Engine):
         return pdf.copy()
 
     def sum_col(self, df, col):
-        return float(df[col].sum()) if len(df) else 0.0
+        return int(df[col].sum()) if len(df) else 0
 
     def minmax(self, df, cols):
         return {c: (float(df[c].min()), float(df[c].max())) for c in cols}
@@ -172,14 +166,9 @@ class LocalEngine(Engine):
     def unpersist(self, df):
         pass
 
-    def assign_nearest(self, df, cols, centers, out):
+    def label_rows(self, df, cols, fn, out):
         res = df.copy()
-        if len(df) == 0:
-            res[out] = pd.Series(dtype=np.int64)
-            return res
-        P = df[list(cols)].to_numpy(dtype=np.float64)
-        d = ((P[:, None, :] - np.asarray(centers, dtype=np.float64)[None]) ** 2).sum(-1)
-        res[out] = d.argmin(axis=1).astype(np.int64)
+        res[out] = np.asarray(fn(df[list(cols)].to_numpy(dtype=np.float64)), dtype=np.int64)
         return res
 
 
@@ -192,12 +181,6 @@ class SparkEngine(Engine):
     def project(self, df, cols, distinct=False):
         out = df.select(*cols)
         return out.distinct() if distinct else out
-
-    def filter_range(self, df, col, lo, hi, right_closed=True):
-        from pyspark.sql import functions as F
-
-        upper = F.col(col) <= float(hi) if right_closed else F.col(col) < float(hi)
-        return df.where((F.col(col) >= float(lo)) & upper)
 
     def join(self, a, b, on, how="inner"):
         return a.join(b, on=list(on), how=how)
@@ -231,7 +214,7 @@ class SparkEngine(Engine):
         from pyspark.sql import functions as F
 
         row = df.agg(F.sum(col).alias("s")).collect()[0]
-        return float(row["s"]) if row["s"] is not None else 0.0
+        return int(row["s"]) if row["s"] is not None else 0
 
     def minmax(self, df, cols):
         from pyspark.sql import functions as F
@@ -254,15 +237,12 @@ class SparkEngine(Engine):
     def unpersist(self, df):
         df.unpersist()
 
-    def assign_nearest(self, df, cols, centers, out):
+    def label_rows(self, df, cols, fn, out):
         from pyspark.sql import functions as F
 
-        c = np.asarray(centers, dtype=np.float64)
-
         @F.pandas_udf("long")
-        def _nearest(*series: pd.Series) -> pd.Series:
+        def _label(*series: pd.Series) -> pd.Series:
             P = np.column_stack([s.to_numpy(dtype=np.float64) for s in series])
-            d = ((P[:, None, :] - c[None]) ** 2).sum(-1)
-            return pd.Series(d.argmin(axis=1))
+            return pd.Series(np.asarray(fn(P), dtype=np.int64))
 
-        return df.withColumn(out, _nearest(*[F.col(x) for x in cols]))
+        return df.withColumn(out, _label(*[F.col(x) for x in cols]))

@@ -14,13 +14,15 @@ production), and never materializes the join result:
   one group-by of these frames, and they weight the sampler.
 - ``grouped_counts``: ``subtree_counts`` with carried columns, grouped by
   them at the root (the Rk-means baseline's grid-cell weights).
-- ``sample_join``: uniform sampling of z join results with replacement —
+- ``sample_join``: uniform sampling of join results with replacement —
   weighted root pick, then one driver-side per-key pick per tree edge
-  (Lemma 2.1's SampleRect machinery, Zhao et al. style).
+  (Zhao et al. style); with carried columns, each sample is uniform over the
+  join results having the requested carried values.
 
-``RelQuery`` packages a query instance (tree + tables) with the rectangle
-variants CountRect / SampleRect (box filter on every relation, re-run the
-DP; its inner joins drop the tuples the filter left dangling).
+Lemma 2.1's CountRect / SampleRect are these two with carried columns: label
+each tuple with the box (or interval) its features fall in, and the carried
+DP counts every box at once, while the carried sampler draws inside any of
+them (Algorithm 1 in ``core.coreset_slow``).
 """
 from __future__ import annotations
 
@@ -101,7 +103,7 @@ def multiplicities(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) ->
 def total_count(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> int:
     """|q(D)| without materializing the join."""
     counts = subtree_counts(engine, tree, dfs)
-    return int(round(engine.sum_col(counts[tree.root], CNT)))
+    return engine.sum_col(counts[tree.root], CNT)
 
 
 def grouped_counts(
@@ -132,6 +134,8 @@ def sample_join(
     rng: np.random.Generator,
     attrs: Sequence[str] | None = None,
     counts: Mapping[str, object] | None = None,
+    carry: Mapping[str, Sequence[str]] | None = None,
+    groups: pd.DataFrame | None = None,
 ) -> pd.DataFrame:
     """z uniform (with replacement) samples from q(D), never materializing it.
 
@@ -141,24 +145,38 @@ def sample_join(
     declared attributes, not by the engine's column or row order, so the pool
     depends only on ``rng``; descent is one ``engine.weighted_pick`` per tree
     edge.
+
+    With ``carry`` (and ``counts`` from ``subtree_counts`` with that carry),
+    sample i is uniform over the join results whose carried columns equal row
+    i of the pandas frame ``groups`` (z = len(groups)): the root makes one
+    pick per row, and every pick is keyed by the carried columns below it.
     """
     if z <= 0:
         return pd.DataFrame(columns=list(attrs or []))
-    counts = counts or subtree_counts(engine, tree, dfs)
+    carry = carry or {}
+    counts = counts or subtree_counts(engine, tree, dfs, carry)
     root = tree.root
     root_attrs = list(tree.relations[root].attrs)
-    roots = engine.to_pandas(engine.project(counts[root], [*root_attrs, CNT]))
-    if len(roots) == 0:
-        return pd.DataFrame(columns=list(attrs or []))
-    roots = roots.sort_values(root_attrs, kind="mergesort", ignore_index=True)
-    w = roots[CNT].to_numpy(dtype=np.float64)
-    picked = rng.choice(len(roots), size=z, p=w / w.sum())
-    cur = roots.iloc[picked].drop(columns=CNT).reset_index(drop=True)
-    cur["__sid"] = np.arange(z, dtype=np.int64)
+    if carry:
+        keys = _carried(tree, carry, root)
+        reqs = groups[keys].reset_index(drop=True)
+        reqs["__sid"] = np.arange(len(reqs), dtype=np.int64)
+        reqs["__u"] = rng.random(len(reqs))
+        picked = engine.weighted_pick(counts[root], keys, CNT, reqs, root_attrs)
+        cur = reqs.drop(columns="__u").merge(picked, on="__sid")
+    else:
+        roots = engine.to_pandas(engine.project(counts[root], [*root_attrs, CNT]))
+        if len(roots) == 0:
+            return pd.DataFrame(columns=list(attrs or []))
+        roots = roots.sort_values(root_attrs, kind="mergesort", ignore_index=True)
+        w = roots[CNT].to_numpy(dtype=np.float64)
+        picked = rng.choice(len(roots), size=z, p=w / w.sum())
+        cur = roots.iloc[picked].drop(columns=CNT).reset_index(drop=True)
+        cur["__sid"] = np.arange(z, dtype=np.int64)
 
     def descend(node: str, cur: pd.DataFrame) -> pd.DataFrame:
         for c in tree.children[node]:
-            jk = list(tree.join_attrs(c, node))
+            jk = [*tree.join_attrs(c, node), *_carried(tree, carry, c)]
             reqs = cur[[*jk, "__sid"]].copy()
             reqs["__u"] = rng.random(len(reqs))
             new_cols = [x for x in tree.relations[c].attrs if x not in cur.columns]
@@ -239,47 +257,6 @@ class RelQuery:
         """z uniform samples of q(D) projected to ``attrs`` (default: features)."""
         attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
         return sample_join(self.engine, self.tree, self.dfs, z, rng, attrs, counts)
-
-    # -- rectangle queries (Lemma 2.1) ------------------------------------
-    def _filtered(
-        self, box: Mapping[str, tuple[float, float]], right_closed: bool = True
-    ) -> dict[str, object]:
-        """Every relation filtered to ``box``, not re-reduced: the counting
-        DP's inner joins drop tuples left dangling, and the sampler only
-        asks for keys of tuples it has already picked."""
-        dfs = {}
-        for name, rel in self.tree.relations.items():
-            df = self.dfs[name]
-            for attr, (lo, hi) in box.items():
-                if attr in rel.attrs:
-                    df = self.engine.filter_range(df, attr, lo, hi, right_closed)
-            dfs[name] = df
-        return dfs
-
-    def count_rect(
-        self, box: Mapping[str, tuple[float, float]], right_closed: bool = True
-    ) -> int:
-        """CountRect: |q(D) ∩ box| (box constrains a subset of attributes;
-        equals the multiset-projection count |π̄_B(q(D)) ∩ box|).
-
-        ``right_closed=False`` counts over half-open [lo, hi) boxes — used for
-        grid cells, which must partition space without double-counting.
-        """
-        return total_count(self.engine, self.tree, self._filtered(box, right_closed))
-
-    def sample_rect(
-        self,
-        box: Mapping[str, tuple[float, float]],
-        z: int,
-        rng: np.random.Generator,
-        attrs: Sequence[str] | None = None,
-        right_closed: bool = True,
-    ) -> pd.DataFrame:
-        """SampleRect: z uniform samples from q(D) ∩ box."""
-        attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
-        return sample_join(
-            self.engine, self.tree, self._filtered(box, right_closed), z, rng, attrs
-        )
 
     # -- baseline/evaluation only -----------------------------------------
     def materialize(self, attrs: Sequence[str] | None = None):

@@ -28,6 +28,44 @@ def brute_force_join(tree: JoinTree, tables: dict[str, pd.DataFrame]) -> pd.Data
     return cur
 
 
+def label_box(Q, box: dict[str, tuple[float, float]]):
+    """Q's reduced frames with an interval-id column ``__iv_<attr>`` per box
+    attribute (-1 below lo, 0 in [lo, hi), 1 from hi up), and the carry that
+    makes the counting DP and the sampler split by those ids."""
+    dfs, carry = dict(Q.dfs), {}
+    for attr, (lo, hi) in box.items():
+        rel = Q.tree.relation_with_attr(attr)
+        edges = np.array([lo, hi], dtype=np.float64)
+        dfs[rel] = Q.engine.label_rows(
+            dfs[rel], [attr], lambda P, e=edges: np.searchsorted(e, P[:, 0], side="right") - 1,
+            f"__iv_{attr}",
+        )
+        carry.setdefault(rel, []).append(f"__iv_{attr}")
+    return dfs, carry
+
+
+def dp_box_counts(Q, box) -> dict[tuple, int]:
+    """{interval ids per box attribute: #join results} from one carried
+    counting DP (Lemma 2.1's CountRect for every cell of the box's grid)."""
+    from repro.joins.yannakakis import CNT, grouped_counts
+
+    cells = grouped_counts(Q.engine, Q.tree, *label_box(Q, box))
+    ids = cells[[f"__iv_{a}" for a in box]].to_numpy(dtype=np.int64)
+    return {tuple(int(i) for i in k): int(c) for k, c in zip(ids, cells[CNT])}
+
+
+def brute_box_counts(joined: pd.DataFrame, box) -> dict[tuple, int]:
+    """{interval ids per box attribute: #rows} of a materialized join."""
+    ids = pd.DataFrame(
+        {a: (joined[a] >= lo).astype(int) + (joined[a] >= hi).astype(int) - 1
+         for a, (lo, hi) in box.items()}
+    )
+    return {
+        (k if isinstance(k, tuple) else (k,)): int(v)
+        for k, v in ids.groupby(list(box)).size().items()
+    }
+
+
 @pytest.fixture(scope="session")
 def chain_small(local):
     """A small clustered chain query on the local engine (session-cached)."""

@@ -1,14 +1,8 @@
-"""Geometry substrate: boxes, distances, and the arrangement complement."""
+"""Geometry substrate: boxes and point–box distances."""
 import numpy as np
 import pytest
 
-from repro.geometry.boxes import (
-    Box,
-    dist_point_box,
-    dist_points_boxes,
-    subtract_many,
-    subtract_one,
-)
+from repro.geometry.boxes import Box, dist_point_box, dist_points_boxes
 
 
 class TestBoxBasics:
@@ -21,43 +15,6 @@ class TestBoxBasics:
 
     def test_diam_3d(self):
         assert Box((0, 0, 0), (1, 2, 2)).diam == pytest.approx(3.0)
-
-    def test_empty(self):
-        assert Box((0, 0), (0, 1)).is_empty()
-        assert not Box((0, 0), (0.1, 1)).is_empty()
-
-    def test_volume(self):
-        assert Box((0, 0), (2, 3)).volume() == pytest.approx(6.0)
-        assert Box((1, 1), (1, 2)).volume() == 0.0
-
-    def test_contains_half_open(self):
-        b = Box((0, 0), (1, 1))
-        assert b.contains((0, 0))
-        assert not b.contains((1, 0))
-        assert not b.contains((0, 1))
-        assert b.contains((0.999, 0.999))
-
-    def test_contains_points_vectorized(self):
-        b = Box((0, 0), (1, 1))
-        P = np.array([[0.5, 0.5], [1.0, 0.5], [-0.1, 0.5], [0.0, 0.0]])
-        assert b.contains_points(P).tolist() == [True, False, False, True]
-
-    def test_intersect(self):
-        a = Box((0, 0), (2, 2))
-        b = Box((1, 1), (3, 3))
-        got = a.intersect(b)
-        assert got == Box((1, 1), (2, 2))
-
-    def test_intersect_disjoint_is_none(self):
-        assert Box((0, 0), (1, 1)).intersect(Box((2, 2), (3, 3))) is None
-
-    def test_intersect_touching_is_none(self):
-        # Half-open boxes: sharing only a face means no common point.
-        assert Box((0, 0), (1, 1)).intersect(Box((1, 0), (2, 1))) is None
-
-    def test_as_dict(self):
-        b = Box((0.0, 1.0), (2.0, 3.0))
-        assert b.as_dict(["x", "y"]) == {"x": (0.0, 2.0), "y": (1.0, 3.0)}
 
 
 class TestDistances:
@@ -81,64 +38,3 @@ class TestDistances:
             for j in range(7):
                 expect = dist_point_box(P[i], Box(tuple(los[j]), tuple(his[j])))
                 assert D[i, j] == pytest.approx(expect)
-
-
-def _mc_volume_check(box, others, pieces, seed=0, n=20_000):
-    """Pieces must be disjoint, inside box, outside others, and cover box\\others."""
-    g = np.random.default_rng(seed)
-    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    P = lo + g.random((n, len(lo))) * (hi - lo)
-    in_pieces = np.zeros(n, dtype=int)
-    for p in pieces:
-        in_pieces += p.contains_points(P).astype(int)
-    in_others = np.zeros(n, dtype=bool)
-    for o in others:
-        in_others |= o.contains_points(P)
-    # Every point of box \ others lies in exactly one piece; points in others in none.
-    assert (in_pieces[~in_others] == 1).all()
-    assert (in_pieces[in_others] == 0).all()
-
-
-class TestSubtraction:
-    def test_disjoint_returns_original(self):
-        b = Box((0, 0), (1, 1))
-        assert subtract_one(b, Box((5, 5), (6, 6))) == [b]
-
-    def test_fully_covered_returns_empty(self):
-        assert subtract_one(Box((0, 0), (1, 1)), Box((-1, -1), (2, 2))) == []
-
-    def test_center_hole_piece_count(self):
-        pieces = subtract_one(Box((0, 0), (3, 3)), Box((1, 1), (2, 2)))
-        assert len(pieces) == 4  # slab decomposition: 2 per dimension
-        total = sum(p.volume() for p in pieces)
-        assert total == pytest.approx(9 - 1)
-
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_subtract_many_random(self, seed, d):
-        g = np.random.default_rng(seed * 17 + d)
-        box = Box((0.0,) * d, (1.0,) * d)
-        others = []
-        for _ in range(g.integers(1, 6)):
-            lo = g.random(d) * 0.8
-            hi = lo + g.random(d) * 0.5 + 0.01
-            others.append(Box(tuple(lo), tuple(hi)))
-        pieces = subtract_many(box, others)
-        _mc_volume_check(box, others, pieces, seed=seed)
-
-    def test_volume_conservation(self):
-        box = Box((0, 0), (4, 4))
-        others = [Box((1, 1), (2, 2)), Box((1.5, 1.5), (3, 3)), Box((10, 10), (11, 11))]
-        pieces = subtract_many(box, others)
-        union_vol = 1 + (1.5 * 1.5) - (0.5 * 0.5)  # inclusion-exclusion of first two
-        assert sum(p.volume() for p in pieces) == pytest.approx(16 - union_vol)
-
-    def test_max_pieces_guard(self):
-        box = Box((0, 0), (1, 1))
-        others = [
-            Box((i / 50, j / 50), (i / 50 + 0.011, j / 50 + 0.011))
-            for i in range(50)
-            for j in range(50)
-        ]
-        with pytest.raises(RuntimeError):
-            subtract_many(box, others, max_pieces=100)

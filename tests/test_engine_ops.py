@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.clustering.cost import assign
 from repro.joins.engine import LocalEngine, SparkEngine
 
 
@@ -26,14 +27,6 @@ class TestLocalOps:
     def test_project_distinct(self, eng):
         out = eng.project(sample_df(), ["k"], distinct=True)
         assert sorted(out["k"].tolist()) == [1, 2, 3]
-
-    def test_filter_range_closed(self, eng):
-        out = eng.filter_range(sample_df(), "v", 20.0, 30.0)
-        assert sorted(out["v"].tolist()) == [20.0, 30.0]
-
-    def test_filter_range_half_open(self, eng):
-        out = eng.filter_range(sample_df(), "v", 20.0, 30.0, right_closed=False)
-        assert out["v"].tolist() == [20.0]
 
     def test_join(self, eng):
         b = pd.DataFrame({"k": [1, 2], "extra": ["a", "b"]})
@@ -72,6 +65,12 @@ class TestLocalOps:
         assert eng.sum_col(sample_df(), "w") == 10.0
         assert eng.sum_col(sample_df().iloc[:0], "w") == 0.0
 
+    def test_sum_col_exact_int(self, eng):
+        big = 2**53 + 1  # not representable as a float
+        got = eng.sum_col(pd.DataFrame({"c": [big, 2]}), "c")
+        assert type(got) is int and got == big + 2
+        assert type(eng.sum_col(pd.DataFrame({"c": []}), "c")) is int
+
     def test_minmax(self, eng):
         got = eng.minmax(sample_df(), ["v", "w"])
         assert got["v"] == (10.0, 40.0)
@@ -79,12 +78,16 @@ class TestLocalOps:
 
     def test_assign_nearest(self, eng):
         centers = np.array([[10.0], [40.0]])
-        out = eng.assign_nearest(sample_df(), ["v"], centers, "cid")
+        out = eng.label_rows(sample_df(), ["v"], lambda P: assign(P, centers), "cid")
         assert out["cid"].tolist() == [0, 0, 1, 1]
 
     def test_assign_nearest_empty(self, eng):
-        out = eng.assign_nearest(sample_df().iloc[:0], ["v"], np.array([[0.0]]), "cid")
+        out = eng.label_rows(sample_df().iloc[:0], ["v"], lambda P: assign(P, [[0.0]]), "cid")
         assert len(out) == 0
+
+    def test_label_rows_two_columns(self, eng):
+        out = eng.label_rows(sample_df(), ["k", "v"], lambda P: P.sum(axis=1) > 30, "big")
+        assert out["big"].tolist() == [0, 0, 1, 1]
 
 
 class TestSparkOps:
@@ -100,9 +103,10 @@ class TestSparkOps:
         back = se.to_pandas(sdf).sort_values(["k", "v"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(back, sample_df(), check_dtype=False)
 
-    def test_filter_half_open(self, se, sdf):
-        out = se.to_pandas(se.filter_range(sdf, "v", 20.0, 30.0, right_closed=False))
-        assert out["v"].tolist() == [20.0]
+    def test_sum_col_exact_int(self, se):
+        big = 2**53 + 1
+        got = se.sum_col(se.from_pandas(pd.DataFrame({"c": [big, 2]})), "c")
+        assert type(got) is int and got == big + 2
 
     def test_groupby_sum(self, se, sdf):
         out = se.to_pandas(se.groupby_sum(sdf, ["k"], "w", "total"))
@@ -120,7 +124,8 @@ class TestSparkOps:
         assert len(se.to_pandas(se.semijoin(sdf, b, ["k"]))) == 2
 
     def test_assign_nearest(self, se, sdf):
-        out = se.to_pandas(se.assign_nearest(sdf, ["v"], np.array([[10.0], [40.0]]), "cid"))
+        centers = np.array([[10.0], [40.0]])
+        out = se.to_pandas(se.label_rows(sdf, ["v"], lambda P: assign(P, centers), "cid"))
         got = dict(zip(out["v"], out["cid"]))
         assert got == {10.0: 0, 20.0: 0, 30.0: 1, 40.0: 1}
 

@@ -8,6 +8,7 @@ from repro.core.api import rel_kmedian
 from repro.joins.ghd import GHD, Bag, ghd_to_acyclic, materialize_bag
 from repro.workloads import CYCLE4_GHD, CYCLE4_SCHEMAS, cycle4_query
 from repro import synth_data
+from tests.conftest import brute_box_counts, dp_box_counts
 
 
 def brute_force_cycle4(tables: dict[str, pd.DataFrame]) -> pd.DataFrame:
@@ -69,13 +70,10 @@ class TestCycle4Query:
         )
 
     def test_count_rect(self, cyc):
+        """Carried box counts over the GHD's bags, cell by cell."""
         Q, joined, _ = cyc
-        dedup = joined.drop_duplicates()
         box = {"a": (1.0, 4.0), "c": (2.0, 6.0)}
-        expect = int(
-            ((dedup["a"] >= 1) & (dedup["a"] <= 4) & (dedup["c"] >= 2) & (dedup["c"] <= 6)).sum()
-        )
-        assert Q.count_rect(box) == expect
+        assert dp_box_counts(Q, box) == brute_box_counts(joined.drop_duplicates(), box)
 
     def test_sampling_yields_cycle_results(self, cyc):
         Q, joined, _ = cyc

@@ -275,4 +275,5 @@ class TestNodeInfo:
         root = res.nodes[-1]
         assert root.attrs == ("f1", "f2")
         assert 0 < root.info["n_processed"] <= root.info["n_cells"]
+        assert root.info["n_elementary"] > 0
         assert root.coreset_size > 0

@@ -1,12 +1,13 @@
-"""Uniform join sampling, the Lemma 2.1 rectangle queries (local engine) and
-the weighted-pick engine op on both engines."""
+"""Uniform join sampling, the Lemma 2.1 rectangle queries as carried counts
+and carried samples (local engine), and the weighted-pick engine op on both
+engines."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.joins.engine import LocalEngine, SparkEngine
 from repro.joins.yannakakis import RelQuery, sample_join, total_count
-from tests.conftest import brute_force_join
+from tests.conftest import brute_box_counts, brute_force_join, dp_box_counts, label_box
 from tests.test_yannakakis_local import random_instance
 
 
@@ -92,73 +93,96 @@ class TestSampleJoin:
         pd.testing.assert_frame_equal(a, b)
 
 
-def random_box(joined, seed, dims=("fa", "fb")):
+def random_box(seed, dims=("fa", "fb")):
     g = np.random.default_rng(seed)
-    box = {}
-    for d in dims:
-        lo, hi = np.sort(g.random(2))
-        box[d] = (float(lo), float(hi))
-    mask = np.ones(len(joined), dtype=bool)
-    for d, (lo, hi) in box.items():
-        mask &= (joined[d] >= lo) & (joined[d] <= hi)
-    return box, int(mask.sum())
+    return {d: tuple(float(v) for v in np.sort(g.random(2))) for d in dims}
 
 
 class TestCountRect:
+    """Lemma 2.1's CountRect as one carried counting DP: every cell of a
+    box's grid (each attribute below / in / above [lo, hi)) counted at once."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force(self, inst, seed):
         Q, joined = inst
-        box, expect = random_box(joined, seed)
-        assert Q.count_rect(box) == expect
+        box = random_box(seed)
+        assert dp_box_counts(Q, box) == brute_box_counts(joined, box)
 
     def test_full_box_is_total(self, inst):
         Q, joined = inst
         box = {"fa": (0.0, 1.0), "fb": (0.0, 1.0), "fc": (0.0, 1.0)}
-        assert Q.count_rect(box) == len(joined)
+        assert dp_box_counts(Q, box) == {(0, 0, 0): len(joined)}
 
     def test_empty_box(self, inst):
-        Q, _ = inst
-        assert Q.count_rect({"fa": (2.0, 3.0)}) == 0
+        Q, joined = inst
+        assert dp_box_counts(Q, {"fa": (2.0, 3.0)}) == {(-1,): len(joined)}
 
     def test_box_on_join_key(self, inst):
         """Boxes may constrain any attribute, including join keys."""
         Q, joined = inst
         box = {"x": (0.0, 3.0)}
-        assert Q.count_rect(box) == int(((joined["x"] >= 0) & (joined["x"] <= 3)).sum())
+        got = dp_box_counts(Q, box)
+        assert got == brute_box_counts(joined, box)
+        assert got[(0,)] == int(((joined["x"] >= 0) & (joined["x"] < 3)).sum())
+
+
+def sample_in_cells(Q, box, ids, rng):
+    """One uniform join result (features fa, fb, fc) per row of ``ids``
+    (interval ids per box attribute), through the carried sampler."""
+    dfs, carry = label_box(Q, box)
+    groups = pd.DataFrame(np.atleast_2d(ids), columns=[f"__iv_{a}" for a in box])
+    return sample_join(
+        Q.engine, Q.tree, dfs, len(groups), rng, ["fa", "fb", "fc"], carry=carry, groups=groups
+    )
 
 
 class TestSampleRect:
+    """Lemma 2.1's SampleRect as the carried sampler: each sample is uniform
+    over the join results in its requested cell."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_samples_inside_box(self, inst, seed):
         Q, joined = inst
-        box, cnt = random_box(joined, seed + 100, dims=("fa",))
-        if cnt == 0:
+        box = random_box(seed + 100, dims=("fa",))
+        if brute_box_counts(joined, box).get((0,), 0) == 0:
             pytest.skip("empty box")
-        s = Q.sample_rect(box, 20, np.random.default_rng(seed))
+        s = sample_in_cells(Q, box, [[0]] * 20, np.random.default_rng(seed))
         lo, hi = box["fa"]
-        assert ((s["fa"] >= lo) & (s["fa"] <= hi)).all()
+        assert len(s) == 20
+        assert ((s["fa"] >= lo) & (s["fa"] < hi)).all()
 
     def test_samples_are_join_results_in_box(self, inst):
         Q, joined = inst
-        box = {"fb": (0.0, 0.5)}
-        s = Q.sample_rect(box, 30, np.random.default_rng(9))
-        sub = joined[(joined["fb"] >= 0) & (joined["fb"] <= 0.5)]
+        s = sample_in_cells(Q, {"fb": (0.0, 0.5)}, [[0]] * 30, np.random.default_rng(9))
+        sub = joined[(joined["fb"] >= 0) & (joined["fb"] < 0.5)]
         real = sub[["fa", "fb", "fc"]].drop_duplicates()
         merged = s.drop_duplicates().merge(real, on=["fa", "fb", "fc"], how="left", indicator=True)
-        assert (merged["_merge"] == "both").all()
+        assert len(s) == 30 and (merged["_merge"] == "both").all()
 
     def test_conditional_uniformity(self, inst):
         """Sampling within a box is uniform over the box's join results."""
         Q, joined = inst
-        box = {"fa": (0.0, 0.6)}
-        sub = joined[(joined["fa"] >= 0) & (joined["fa"] <= 0.6)]
+        sub = joined[(joined["fa"] >= 0) & (joined["fa"] < 0.6)]
         z = 3000
-        s = Q.sample_rect(box, z, np.random.default_rng(4))
+        s = sample_in_cells(Q, {"fa": (0.0, 0.6)}, [[0]] * z, np.random.default_rng(4))
         got = s.groupby(["fa", "fb", "fc"]).size()
         expect = sub.groupby(["fa", "fb", "fc"]).size() * (z / len(sub))
         chi2 = sum((got.get(k, 0) - e) ** 2 / e for k, e in expect.items())
         dof = len(expect) - 1
         assert chi2 < dof + 6 * np.sqrt(2 * dof), (chi2, dof)
+
+    def test_each_sample_in_its_own_cell(self, inst):
+        """One call serves many cells: sample i lands in the cell row i asks for."""
+        Q, joined = inst
+        box = random_box(3)
+        cells = [k for k, v in brute_box_counts(joined, box).items() if v > 0]
+        ids = np.repeat(np.array(cells), 5, axis=0)
+        np.random.default_rng(0).shuffle(ids)
+        s = sample_in_cells(Q, box, ids, np.random.default_rng(1))
+        assert np.array_equal(np.array(list(brute_box_counts(s, box))), np.array(sorted(cells)))
+        for a, col in zip(box, ids.T):
+            lo, hi = box[a]
+            assert np.array_equal((s[a] >= lo).astype(int) + (s[a] >= hi).astype(int) - 1, col)
 
 
 class TestWeightedPickEngineOp:

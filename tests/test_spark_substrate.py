@@ -8,9 +8,10 @@ import pytest
 
 from repro import synth_data
 from repro.joins.engine import LocalEngine, SparkEngine
-from repro.joins.yannakakis import CNT
+from repro.joins.yannakakis import CNT, RelQuery, sample_join, subtree_counts
 from repro.oracle import assert_equivalent
-from repro.workloads import chain_query, star_query
+from repro.workloads import chain_query, chain_tree, star_query
+from tests.conftest import brute_box_counts, dp_box_counts, label_box
 
 CHAIN_SQL_FROM = "FROM R1 JOIN R2 USING (k1) JOIN R3 USING (k2)"
 
@@ -63,17 +64,35 @@ class TestCountsVsOracle:
         )
 
     def test_count_rect_matches_duckdb(self, sq, chain_tables):
-        import duckdb
+        """Every cell of a box's grid, counted by one carried DP on Spark."""
+        box = {"x1": (0.2, 0.8), "x3": (0.0, 0.5)}
+        dfs, carry = label_box(sq, box)
+        root = subtree_counts(sq.engine, sq.tree, dfs, carry)[sq.tree.root]
+        assert_equivalent(
+            sq.engine.groupby_sum(root, ["__iv_x1", "__iv_x3"], CNT, "n"),
+            'SELECT (x1 >= 0.2)::INT + (x1 >= 0.8)::INT - 1 AS "__iv_x1", '
+            '(x3 >= 0.0)::INT + (x3 >= 0.5)::INT - 1 AS "__iv_x3", COUNT(*) AS n '
+            f"{CHAIN_SQL_FROM} GROUP BY ALL",
+            **chain_tables,
+        )
 
-        con = duckdb.connect()
-        for name, t in chain_tables.items():
-            con.register(name, t)
-        expect = con.execute(
-            f"SELECT COUNT(*) {CHAIN_SQL_FROM} "
-            "WHERE x1 BETWEEN 0.2 AND 0.8 AND x3 BETWEEN 0.0 AND 0.5"
-        ).fetchone()[0]
-        con.close()
-        assert sq.count_rect({"x1": (0.2, 0.8), "x3": (0.0, 0.5)}) == expect
+
+class TestExactCounts:
+    @pytest.mark.parametrize("engine", ["local", "spark"])
+    def test_total_count_above_2_53(self, engine, request):
+        """One shared key per edge: |q(D)| = N³ = 9 007 351 116 674 625 > 2⁵³,
+        which a float sum rounds to ...624."""
+        n = 208_065
+        eng = LocalEngine() if engine == "local" else SparkEngine(request.getfixturevalue("spark"))
+        x = np.zeros(n)
+        zeros = np.zeros(n, dtype=np.int64)
+        tables = {
+            "R1": pd.DataFrame({"k1": zeros, "x1": x}),
+            "R2": pd.DataFrame({"k1": zeros, "k2": zeros, "x2": x}),
+            "R3": pd.DataFrame({"k2": zeros, "x3": x}),
+        }
+        Q = RelQuery(eng, chain_tree(), {u: eng.from_pandas(t) for u, t in tables.items()})
+        assert Q.total_count() == 9_007_351_116_674_625
 
 
 class TestSparkLocalParity:
@@ -108,11 +127,16 @@ class TestSparkLocalParity:
         {"x1": (0.5, 0.5001)},
     ])
     def test_count_rect(self, sq, lq, box):
-        assert sq.count_rect(box) == lq.count_rect(box)
+        assert dp_box_counts(sq, box) == dp_box_counts(lq, box)
 
-    def test_count_rect_half_open(self, sq, lq):
-        box = {"x1": (0.2, 0.7)}
-        assert sq.count_rect(box, right_closed=False) == lq.count_rect(box, right_closed=False)
+    def test_count_rect_half_open(self, sq, lq, chain_tables):
+        """Edges on data values: lo is inside the box, hi is not, on both engines."""
+        x1 = np.sort(chain_tables["R1"]["x1"].to_numpy())
+        box = {"x1": (float(x1[10]), float(x1[50]))}
+        joined = (
+            chain_tables["R1"].merge(chain_tables["R2"], on="k1").merge(chain_tables["R3"], on="k2")
+        )
+        assert dp_box_counts(sq, box) == dp_box_counts(lq, box) == brute_box_counts(joined, box)
 
 
 class TestSparkSampling:
@@ -146,9 +170,15 @@ class TestSparkSampling:
 
     def test_sample_rect_respects_box(self, sq):
         box = {"x1": (0.2, 0.8), "x3": (0.0, 0.5)}
-        s = sq.sample_rect(box, 30, np.random.default_rng(1))
-        assert ((s["x1"] >= 0.2) & (s["x1"] <= 0.8)).all()
-        assert ((s["x3"] >= 0.0) & (s["x3"] <= 0.5)).all()
+        dfs, carry = label_box(sq, box)
+        groups = pd.DataFrame({"__iv_x1": [0] * 30, "__iv_x3": [0] * 30})
+        s = sample_join(
+            sq.engine, sq.tree, dfs, 30, np.random.default_rng(1), ["x1", "x3"],
+            carry=carry, groups=groups,
+        )
+        assert len(s) == 30
+        assert ((s["x1"] >= 0.2) & (s["x1"] < 0.8)).all()
+        assert ((s["x3"] >= 0.0) & (s["x3"] < 0.5)).all()
 
     def test_sampling_approx_uniform_over_x1_halves(self, sq, chain_tables):
         """Coarse uniformity check: mass of x1 ≤ median matches the join."""
