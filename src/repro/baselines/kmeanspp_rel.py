@@ -34,6 +34,8 @@ def rel_kmeanspp(
     t: int | None = None,
 ) -> tuple[np.ndarray, Coreset, dict]:
     """Relational k-means++ coreset clustering. Returns (centers, coreset, timings)."""
+    if pool_size < 1:
+        raise ValueError(f"pool_size must be at least 1, got {pool_size}")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     n = Q.total_count()

@@ -108,11 +108,13 @@ def cluster(
 
     objective: "median" (sum of distances) or "means" (sum of squares).
     Returns (centers (k', d), cost on the input) with k' ≤ k (fewer if fewer
-    distinct points exist). Points with a NaN or infinite coordinate are
-    rejected with a ValueError.
+    distinct points exist). k < 1 and points with a NaN or infinite
+    coordinate are rejected with a ValueError.
     """
     if objective not in _N_ITER:
         raise ValueError(f"unknown objective {objective!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     rng = rng or np.random.default_rng(0)
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.isfinite(P).all():

@@ -7,11 +7,13 @@ center (not just sampled ones) and keeps those that pass condition (3)
 w(□) = |q_u(D) ∩ (□ \\ G)|, G being the union of the cells before it. Per
 feature, the sorted cell edges cut the line into elementary intervals, and
 one carried counting DP over the interval ids (``subtree_counts``, as for
-the Rk-means grid weights) counts every non-empty elementary cell. Each
-elementary cell belongs to the first kept cell containing it, and one
-carried ``sample_join`` draws a real join result in □ \\ G as □'s
-representative. The grid is exponential in d_u by nature, but a node costs
-one counting DP and one sampling pass.
+the Rk-means grid weights) counts every non-empty elementary cell: its
+count frames are collected once per relation, and the cells are a pandas
+group-by of the root frame. Each elementary cell belongs to the first kept
+cell containing it, and one carried ``sample_join`` over the same collected
+frames draws a real join result in □ \\ G as □'s representative. The grid
+is exponential in d_u by nature, but a node costs one counting DP and one
+collect per relation.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from repro.core.coreset_fast import Coreset, phi_scale
 from repro.geometry.boxes import Box, dist_point_box
 from repro.geometry.grid import GridParams, condition3, enumerate_cells
-from repro.joins.yannakakis import CNT, RelQuery, sample_join, subtree_counts
+from repro.joins.yannakakis import CNT, RelQuery, collected, sample_join, subtree_counts
 
 
 def build_coreset_slow(
@@ -119,31 +121,24 @@ def claim_weights(
             dfs[rel], [f], lambda P, e=e: np.searchsorted(e, P[:, 0], side="right") - 1, iv
         )
         carry.setdefault(rel, []).append(iv)
-    counts = {u: eng.cache(df) for u, df in subtree_counts(eng, tree, dfs, carry).items()}
-    try:
-        cells = eng.to_pandas(eng.groupby_sum(counts[tree.root], ivs, CNT, CNT))
-        cells = cells.sort_values(ivs, ignore_index=True)  # engine row order varies
-        E = cells[ivs].to_numpy(dtype=np.int64)
-        cnt = cells[CNT].to_numpy(dtype=np.int64)
-        # Box b spans elementary intervals A[b] ≤ id < B[b] in every feature.
-        A = np.column_stack([np.searchsorted(e, los[:, t]) for t, e in enumerate(edges)])
-        B = np.column_stack([np.searchsorted(e, his[:, t]) for t, e in enumerate(edges)])
-        owner = np.full(len(E), -1)
-        free = np.arange(len(E))
-        for b in range(len(los)):
-            inside = ((E[free] >= A[b]) & (E[free] < B[b])).all(axis=1)
-            owner[free[inside]] = b
-            free = free[~inside]
-        own = owner >= 0
-        w = np.zeros(len(los), dtype=np.int64)
-        np.add.at(w, owner[own], cnt[own])
-        rep = np.flatnonzero(own)[_representatives(E[own], cnt[own], owner[own], edges)]
-        pts = sample_join(
-            eng, tree, dfs, len(rep), rng, features_u, counts, carry, cells.loc[rep, ivs]
-        )
-    finally:
-        for df in counts.values():
-            eng.unpersist(df)
+    counts = collected(eng, subtree_counts(eng, tree, dfs, carry))
+    cells = counts[tree.root].groupby(ivs, as_index=False)[CNT].sum()  # sorted by ivs
+    E = cells[ivs].to_numpy(dtype=np.int64)
+    cnt = cells[CNT].to_numpy(dtype=np.int64)
+    # Box b spans elementary intervals A[b] ≤ id < B[b] in every feature.
+    A = np.column_stack([np.searchsorted(e, los[:, t]) for t, e in enumerate(edges)])
+    B = np.column_stack([np.searchsorted(e, his[:, t]) for t, e in enumerate(edges)])
+    owner = np.full(len(E), -1)
+    free = np.arange(len(E))
+    for b in range(len(los)):
+        inside = ((E[free] >= A[b]) & (E[free] < B[b])).all(axis=1)
+        owner[free[inside]] = b
+        free = free[~inside]
+    own = owner >= 0
+    w = np.zeros(len(los), dtype=np.int64)
+    np.add.at(w, owner[own], cnt[own])
+    rep = np.flatnonzero(own)[_representatives(E[own], cnt[own], owner[own], edges)]
+    pts = sample_join(eng, tree, counts, len(rep), rng, features_u, carry, cells.loc[rep, ivs])
     return w, pts.to_numpy(dtype=np.float64), len(cells)
 
 

@@ -2,8 +2,9 @@
 
 A balanced binary tree over the feature attributes. At a leaf (one attribute
 A_u), the weighted 1-D projection H_u = π_{A_u}(q(D)) with multiplicity
-weights is computed *exactly* — one group-by over the call's up–down
-multiplicity frames, which also weight the sample pool — and clustered
+weights is computed *exactly* — one pandas group-by over the call's up–down
+multiplicity frames, collected once per relation, which also weight the
+sample pool — and clustered
 directly (the cost v_S(H_u) is exact, so r_u needs no inflation). At an
 inner node u with children v, z: X = S_v × S_z (≤ k² candidates),
 r = r_v + r_z, and Algorithm 2 (or 1) reduces back to k centers with
@@ -77,15 +78,13 @@ def _leaf(
     discrete: bool,
     rng: np.random.Generator,
     *,
-    counts: Mapping[str, object] | None = None,
+    counts: Mapping[str, pd.DataFrame] | None = None,
 ) -> NodeResult:
     """Algorithm 3 lines 1–8: exact weighted 1-D projection, clustered.
 
     ``counts``: the call's :meth:`RelQuery.multiplicities` (default: fresh).
     """
-    H: pd.DataFrame = Q.engine.to_pandas(Q.leaf_weights(attr, counts))
-    # Engine group-bys return rows in no fixed order; fix it for the seed.
-    H = H.sort_values(attr, ignore_index=True)
+    H = Q.leaf_weights(attr, counts)
     P = H[attr].to_numpy(dtype=np.float64)[:, None]
     w = H["weight"].to_numpy(dtype=np.float64)
     S, _ = cluster(P, w, k, objective, discrete=discrete, rng=rng)
@@ -155,12 +154,12 @@ def relational_cluster(
         nodes.append(res)
         return res
 
-    # One up–down pass serves the pool's descent and every leaf H_u.
-    with Q.multiplicities() as counts:
-        if method == "fast":
-            z = min(pool_size, max(10 * n, 1))
-            pool = Q.sample(z, rng, attrs=feats, counts=counts).to_numpy(dtype=np.float64)
-        root = solve(0, len(feats))
+    # One up–down pass, collected once, serves the pool and every leaf H_u.
+    counts = Q.multiplicities()
+    if method == "fast":
+        z = min(pool_size, max(10 * n, 1))
+        pool = Q.sample(z, rng, attrs=feats, counts=counts).to_numpy(dtype=np.float64)
+    root = solve(0, len(feats))
     # Root attrs may be a permutation of feats (balanced split order);
     # reorder center columns to the canonical feature order.
     perm = [root.attrs.index(f) for f in feats]

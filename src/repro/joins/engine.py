@@ -69,7 +69,7 @@ class Engine(ABC):
 
     def weighted_pick(
         self,
-        tuples_df,
+        tuples: pd.DataFrame,
         key_cols: Sequence[str],
         weight_col: str,
         requests: pd.DataFrame,
@@ -77,26 +77,26 @@ class Engine(ABC):
     ) -> pd.DataFrame:
         """Per-request weighted sampling within a join-key group.
 
-        ``requests`` is a pandas frame with columns ``key_cols + ['__sid',
-        '__u']`` (``__u`` uniform in [0,1)). For each request, among the
-        tuples of ``tuples_df`` whose key columns match, pick one tuple with
-        probability proportional to ``weight_col`` using ``__u`` (inverse-CDF).
-        Returns pandas ``['__sid'] + out_cols``. This is the top-down step of
-        uniform sampling over join results (Zhao et al. style).
+        ``tuples`` is a collected (pandas) count frame and ``requests`` a
+        pandas frame with columns ``key_cols + ['__sid', '__u']`` (``__u``
+        uniform in [0,1)). For each request, among the tuples whose key
+        columns match (all of them if ``key_cols`` is empty), pick one tuple
+        with probability proportional to ``weight_col`` using ``__u``
+        (inverse-CDF). Returns pandas ``['__sid'] + out_cols``. This is the
+        top-down step of uniform sampling over join results (Zhao et al.
+        style).
 
-        Both engines collect the O(N) tuples and pick on the driver. Sorting
-        on every used column makes key groups contiguous and the picks
+        The pick runs on the driver, the same on both engines. Sorting on
+        every used column makes key groups contiguous and the picks
         independent of row order; one global cumsum serves every group.
         """
         key_cols, out_cols = list(key_cols), list(out_cols)
-        empty = pd.DataFrame(columns=["__sid", *out_cols])
-        if len(requests) == 0:
-            return empty
+        if len(requests) == 0 or len(tuples) == 0:
+            return pd.DataFrame(columns=["__sid", *out_cols])
+        if not key_cols:  # one group
+            key_cols, tuples, requests = ["__one"], tuples.assign(__one=0), requests.assign(__one=0)
         cols = list(dict.fromkeys([*key_cols, *out_cols, weight_col]))
-        t = self.to_pandas(self.project(tuples_df, cols))
-        if len(t) == 0:
-            return empty
-        t = t.sort_values(cols, kind="mergesort", ignore_index=True)
+        t = tuples[cols].sort_values(cols, kind="mergesort", ignore_index=True)
         starts = np.flatnonzero(np.diff(t.groupby(key_cols, sort=False).ngroup(), prepend=-1))
         ends = np.append(starts[1:], len(t))
         cum = np.cumsum(t[weight_col].to_numpy())

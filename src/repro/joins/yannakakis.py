@@ -1,7 +1,7 @@
 """Yannakakis-style dynamic programs over an acyclic join tree.
 
-Everything here runs on the engine abstraction (Spark DataFrames in
-production), and never materializes the join result:
+The DPs run on the engine abstraction (Spark DataFrames in production), and
+never materialize the join result:
 
 - ``full_reduce``: semi-join reduction — keep only non-dangling tuples.
 - ``subtree_counts``: the one bottom-up counting DP; node tuple t gets
@@ -10,12 +10,14 @@ production), and never materializes the join result:
   with ``carry`` the counts are also split by carried columns (a group-by
   aggregate over the same tree).
 - ``multiplicities``: the up–down ("all marginals") pass — every tuple of
-  every relation gets its full-join multiplicity; a leaf projection H_u is
-  one group-by of these frames, and they weight the sampler.
+  every relation gets its full-join multiplicity.
 - ``grouped_counts``: ``subtree_counts`` with carried columns, grouped by
   them at the root (the Rk-means baseline's grid-cell weights).
-- ``sample_join``: uniform sampling of join results with replacement —
-  weighted root pick, then one driver-side per-key pick per tree edge
+- ``collected``: a DP's per-relation count frames, each collected to the
+  driver once (O(N) rows). Everything downstream reads these pandas frames:
+  a leaf projection H_u is one group-by of the collected multiplicities.
+- ``sample_join``: uniform sampling of join results with replacement — one
+  driver-side weighted pick at the root, then one per-key pick per tree edge
   (Zhao et al. style); with carried columns, each sample is uniform over the
   join results having the requested carried values.
 
@@ -26,8 +28,7 @@ them (Algorithm 1 in ``core.coreset_slow``).
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -126,53 +127,48 @@ def grouped_counts(
     return engine.to_pandas(engine.groupby_sum(root, keys, CNT, CNT))
 
 
+def collected(engine: Engine, frames: Mapping[str, object]) -> dict[str, pd.DataFrame]:
+    """Every frame collected to pandas once; the frames (which share one
+    DP's lineage) are cached for the collects and unpersisted after."""
+    frames = {name: engine.cache(df) for name, df in frames.items()}
+    try:
+        return {name: engine.to_pandas(df) for name, df in frames.items()}
+    finally:
+        for df in frames.values():
+            engine.unpersist(df)
+
+
 def sample_join(
     engine: Engine,
     tree: JoinTree,
-    dfs: Mapping[str, object],
+    counts: Mapping[str, pd.DataFrame],
     z: int,
     rng: np.random.Generator,
     attrs: Sequence[str] | None = None,
-    counts: Mapping[str, object] | None = None,
     carry: Mapping[str, Sequence[str]] | None = None,
     groups: pd.DataFrame | None = None,
 ) -> pd.DataFrame:
     """z uniform (with replacement) samples from q(D), never materializing it.
 
-    ``counts`` (default: fresh ``subtree_counts``; ``multiplicities`` works
-    too, being proportional to them within each key group) weight the picks.
-    The O(N) root frame is collected once and ordered by the root relation's
-    declared attributes, not by the engine's column or row order, so the pool
-    depends only on ``rng``; descent is one ``engine.weighted_pick`` per tree
-    edge.
+    ``counts`` are the ``collected`` frames of ``subtree_counts`` (or of
+    ``multiplicities``, proportional to them within each key group); they
+    weight one ``engine.weighted_pick`` at the root and one per tree edge.
+    Each pick orders its tuples by their values, not by the engine's column
+    or row order, so the pool depends only on ``rng``.
 
     With ``carry`` (and ``counts`` from ``subtree_counts`` with that carry),
     sample i is uniform over the join results whose carried columns equal row
-    i of the pandas frame ``groups`` (z = len(groups)): the root makes one
-    pick per row, and every pick is keyed by the carried columns below it.
+    i of the pandas frame ``groups`` (z = len(groups)): every pick is keyed by
+    the carried columns below it. Without, the root pick is one group.
     """
-    if z <= 0:
-        return pd.DataFrame(columns=list(attrs or []))
     carry = carry or {}
-    counts = counts or subtree_counts(engine, tree, dfs, carry)
     root = tree.root
-    root_attrs = list(tree.relations[root].attrs)
-    if carry:
-        keys = _carried(tree, carry, root)
-        reqs = groups[keys].reset_index(drop=True)
-        reqs["__sid"] = np.arange(len(reqs), dtype=np.int64)
-        reqs["__u"] = rng.random(len(reqs))
-        picked = engine.weighted_pick(counts[root], keys, CNT, reqs, root_attrs)
-        cur = reqs.drop(columns="__u").merge(picked, on="__sid")
-    else:
-        roots = engine.to_pandas(engine.project(counts[root], [*root_attrs, CNT]))
-        if len(roots) == 0:
-            return pd.DataFrame(columns=list(attrs or []))
-        roots = roots.sort_values(root_attrs, kind="mergesort", ignore_index=True)
-        w = roots[CNT].to_numpy(dtype=np.float64)
-        picked = rng.choice(len(roots), size=z, p=w / w.sum())
-        cur = roots.iloc[picked].drop(columns=CNT).reset_index(drop=True)
-        cur["__sid"] = np.arange(z, dtype=np.int64)
+    keys = _carried(tree, carry, root)
+    reqs = pd.DataFrame(index=range(z)) if groups is None else groups[keys].reset_index(drop=True)
+    reqs["__sid"] = np.arange(len(reqs), dtype=np.int64)
+    reqs["__u"] = rng.random(len(reqs))
+    picked = engine.weighted_pick(counts[root], keys, CNT, reqs, tree.relations[root].attrs)
+    cur = reqs.drop(columns="__u").merge(picked, on="__sid")
 
     def descend(node: str, cur: pd.DataFrame) -> pd.DataFrame:
         for c in tree.children[node]:
@@ -218,27 +214,22 @@ class RelQuery:
             self._n = total_count(self.engine, self.tree, self.dfs)
         return self._n
 
-    @contextmanager
-    def multiplicities(self) -> Iterator[dict[str, object]]:
-        """The up–down ``multiplicities`` frames, cached only inside the block."""
-        counts = multiplicities(self.engine, self.tree, self.dfs)
-        counts = {name: self.engine.cache(df) for name, df in counts.items()}
-        try:
-            yield counts
-        finally:
-            for df in counts.values():
-                self.engine.unpersist(df)
+    def multiplicities(self) -> dict[str, pd.DataFrame]:
+        """Every relation's up–down ``multiplicities`` frame, collected once."""
+        return collected(self.engine, multiplicities(self.engine, self.tree, self.dfs))
 
-    def leaf_weights(self, attr: str, counts: Mapping[str, object] | None = None):
+    def leaf_weights(self, attr: str, counts: Mapping[str, pd.DataFrame] | None = None):
         """Weighted 1-D projection H_u of q(D) on ``attr`` (Algorithm 3 leaf).
 
-        Returns an engine frame (attr, weight): weight = multiplicity of the
-        value in the multiset projection: a group-by over the up–down
-        ``counts`` (default: fresh) of a relation containing ``attr``.
+        Returns a pandas frame (attr, weight) sorted by ``attr``: weight =
+        multiplicity of the value in the multiset projection, a group-by of
+        the collected up–down ``counts`` (default: :meth:`multiplicities`)
+        of a relation containing ``attr``.
         """
-        counts = counts or multiplicities(self.engine, self.tree, self.dfs)
+        counts = counts or self.multiplicities()
         rel = self.tree.relation_with_attr(attr)
-        return self.engine.groupby_sum(counts[rel], [attr], CNT, "weight")
+        H = counts[rel].groupby(attr, as_index=False, dropna=False)[CNT].sum()
+        return H.rename(columns={CNT: "weight"})
 
     def feature_bounds(self) -> dict[str, tuple[float, float]]:
         """Exact per-feature min/max of the join multiset (every reduced tuple
@@ -253,10 +244,11 @@ class RelQuery:
 
     # -- sampling ---------------------------------------------------------
     def sample(self, z: int, rng: np.random.Generator, attrs: Sequence[str] | None = None,
-               counts: Mapping[str, object] | None = None) -> pd.DataFrame:
-        """z uniform samples of q(D) projected to ``attrs`` (default: features)."""
+               counts: Mapping[str, pd.DataFrame] | None = None) -> pd.DataFrame:
+        """z uniform samples of q(D) projected to ``attrs`` (default: features),
+        weighted by ``counts`` (default: :meth:`multiplicities`)."""
         attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
-        return sample_join(self.engine, self.tree, self.dfs, z, rng, attrs, counts)
+        return sample_join(self.engine, self.tree, counts or self.multiplicities(), z, rng, attrs)
 
     # -- baseline/evaluation only -----------------------------------------
     def materialize(self, attrs: Sequence[str] | None = None):

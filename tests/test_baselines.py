@@ -99,3 +99,26 @@ class TestTable1Shape:
         c_new = exact_cost(P, res.centers, "means")
         c_grid = exact_cost(P, S_grid, "means")
         assert c_new <= c_grid * 1.1  # NEW wins (small slack for randomness)
+
+
+class TestBadArguments:
+    """Every baseline rejects k < 1 (through ``cluster``), and the
+    k-means++ baseline rejects an empty pool before it samples."""
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, chain_small, chain_small_join, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            rkmeans(chain_small, k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            rel_kmeanspp(chain_small, k, pool_size=500)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            full_join_cluster(chain_small, k, "means", P=chain_small_join)
+
+    @pytest.mark.parametrize("pool_size", [0, -5])
+    def test_pool_size_below_one(self, chain_small, pool_size, monkeypatch):
+        def no_sampling(*a, **kw):
+            raise AssertionError("sampled before checking pool_size")
+
+        monkeypatch.setattr(chain_small, "sample", no_sampling)
+        with pytest.raises(ValueError, match="pool_size must be at least 1"):
+            rel_kmeanspp(chain_small, 3, pool_size=pool_size)

@@ -156,6 +156,12 @@ class TestEdgeCases:
             cluster(P, None, 2, objective)
 
     @pytest.mark.parametrize("objective", ["median", "means"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, objective, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            cluster(np.zeros((3, 2)), None, k, objective)
+
+    @pytest.mark.parametrize("objective", ["median", "means"])
     def test_default_n_iter_per_objective(self, objective):
         # n_iter=None picks the objective's default (40 / 60 iterations).
         P, _ = planted(k=3, seed=8)

@@ -209,7 +209,7 @@ class TestClaimWeights:
         C = build_coreset_slow(Q, feats, X, 2.0, r, 0.8, "median", c_g=0.5, max_cells=4000)
         assert len(dps) == 1
         assert C.info["n_processed"] > len(Q.tree.relations) + 1
-        assert len(collects) <= len(Q.tree.relations) + 1  # root cells + one per pick
+        assert len(collects) == len(Q.tree.relations)  # each count frame, once
 
 
 class TestSparkParity:

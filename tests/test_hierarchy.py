@@ -129,6 +129,33 @@ class TestLeaves:
         assert res.centers.shape == (2, 1)
 
 
+class TestCallStructure:
+    def test_one_dp_and_one_collect_per_relation(self, chain_small, monkeypatch):
+        """A fast call runs one counting DP (the up–down pass) and collects
+        each relation's count frame once; the leaves and picks read those."""
+        from repro.joins import yannakakis
+
+        Q = chain_small
+        Q.total_count()  # cached on the query before the call
+        dps, collects = [], []
+        orig_dp, orig_collect = yannakakis.subtree_counts, Q.engine.to_pandas
+
+        def dp(*a, **kw):
+            dps.append(1)
+            return orig_dp(*a, **kw)
+
+        def collect(df):
+            collects.append(1)
+            return orig_collect(df)
+
+        monkeypatch.setattr(yannakakis, "subtree_counts", dp)
+        monkeypatch.setattr(Q.engine, "to_pandas", collect)
+        res = relational_cluster(Q, 3, 0.5, "median", method="fast", pool_size=1500, seed=0)
+        assert len(res.nodes) == 2 * len(Q.tree.all_features) - 1
+        assert len(dps) == 1
+        assert len(collects) == len(Q.tree.relations)
+
+
 def chain_with_bad_x1(engine, value):
     """The chain_small instance with ``value`` in every tenth x1 of R1."""
     from repro import synth_data

@@ -1,12 +1,11 @@
 """Uniform join sampling, the Lemma 2.1 rectangle queries as carried counts
-and carried samples (local engine), and the weighted-pick engine op on both
-engines."""
+and carried samples, and the driver-side weighted pick (local engine)."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.joins.engine import LocalEngine, SparkEngine
-from repro.joins.yannakakis import RelQuery, sample_join, total_count
+from repro.joins.engine import LocalEngine
+from repro.joins.yannakakis import RelQuery, collected, sample_join, subtree_counts, total_count
 from tests.conftest import brute_box_counts, brute_force_join, dp_box_counts, label_box
 from tests.test_yannakakis_local import random_instance
 
@@ -78,7 +77,8 @@ class TestSampleJoin:
         joined = brute_force_join(tree, tables)
         assert total_count(eng, tree, tables) == len(joined)
         cols = ["x", "y", "fa", "fb", "fc"]
-        s = sample_join(eng, tree, tables, 200, np.random.default_rng(seed), cols)
+        counts = collected(eng, subtree_counts(eng, tree, tables))
+        s = sample_join(eng, tree, counts, 200, np.random.default_rng(seed), cols)
         assert len(s) == 200
         merged = s.merge(joined[cols].drop_duplicates(), on=cols, how="left", indicator=True)
         assert (merged["_merge"] == "both").all()
@@ -88,8 +88,11 @@ class TestSampleJoin:
         the frames' columns (as Spark's joins do) leaves the pool unchanged."""
         Q, _ = inst
         permuted = {u: df[df.columns[::-1]] for u, df in Q.dfs.items()}
-        a = sample_join(eng, Q.tree, Q.dfs, 300, np.random.default_rng(5), ["fa", "fb", "fc"])
-        b = sample_join(eng, Q.tree, permuted, 300, np.random.default_rng(5), ["fa", "fb", "fc"])
+        a, b = (
+            sample_join(eng, Q.tree, collected(eng, subtree_counts(eng, Q.tree, dfs)), 300,
+                        np.random.default_rng(5), ["fa", "fb", "fc"])
+            for dfs in (Q.dfs, permuted)
+        )
         pd.testing.assert_frame_equal(a, b)
 
 
@@ -130,9 +133,10 @@ def sample_in_cells(Q, box, ids, rng):
     """One uniform join result (features fa, fb, fc) per row of ``ids``
     (interval ids per box attribute), through the carried sampler."""
     dfs, carry = label_box(Q, box)
+    counts = collected(Q.engine, subtree_counts(Q.engine, Q.tree, dfs, carry))
     groups = pd.DataFrame(np.atleast_2d(ids), columns=[f"__iv_{a}" for a in box])
     return sample_join(
-        Q.engine, Q.tree, dfs, len(groups), rng, ["fa", "fb", "fc"], carry=carry, groups=groups
+        Q.engine, Q.tree, counts, len(groups), rng, ["fa", "fb", "fc"], carry, groups
     )
 
 
@@ -210,6 +214,32 @@ class TestWeightedPickEngineOp:
         assert len(eng.weighted_pick(tuples, ["k"], "w", reqs, ["v"])) == 0
         reqs = pd.DataFrame({"k": [1], "__sid": [0], "__u": [0.5]})
         assert len(eng.weighted_pick(tuples, ["k"], "w", reqs, ["v"])) == 0
+        # No key columns: the root pick of an empty join.
+        reqs = pd.DataFrame({"__sid": [0, 1], "__u": [0.1, 0.9]})
+        out = eng.weighted_pick(tuples, [], "w", reqs, ["k", "v"])
+        assert len(out) == 0 and list(out.columns) == ["__sid", "k", "v"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dup", [False, True])
+    def test_no_keys_draws_what_rng_choice_draws(self, eng, seed, dup):
+        """With no key columns (the root pick), the pick takes the draws of
+        ``rng.choice(p=w / w.sum())`` over the tuples sorted by their columns."""
+        g = np.random.default_rng(100 + seed)
+        tuples = pd.DataFrame(
+            {"a": g.integers(0, 4, 60), "v": g.random(60).round(1), "w": g.integers(1, 50, 60)}
+        )
+        if dup:  # duplicate rows, as duplicate root tuples give
+            tuples = pd.concat([tuples, tuples.iloc[::3]], ignore_index=True)
+        z = 500
+        reqs = pd.DataFrame(
+            {"__sid": np.arange(z), "__u": np.random.default_rng(seed).random(z)}
+        )
+        got = eng.weighted_pick(tuples.sample(frac=1, random_state=seed), [], "w", reqs, ["a", "v"])
+        t = tuples.sort_values(["a", "v", "w"], kind="mergesort", ignore_index=True)
+        w = t["w"].to_numpy(dtype=np.float64)
+        idx = np.random.default_rng(seed).choice(len(t), z, p=w / w.sum())
+        pd.testing.assert_frame_equal(got[["a", "v"]], t.loc[idx, ["a", "v"]].reset_index(drop=True))
+        assert np.array_equal(got["__sid"], np.arange(z))
 
     def test_matches_per_group_loop(self, eng):
         """The vectorized pick equals an inverse-CDF loop over key groups,
@@ -231,27 +261,3 @@ class TestWeightedPickEngineOp:
                 expect.append((sid, grp["v"].iloc[i]))
         got = eng.weighted_pick(tuples.sample(frac=1, random_state=1), ["k"], "w", reqs, ["v"])
         assert list(zip(got["__sid"], got["v"])) == expect
-
-
-class TestWeightedPickSparkEngine(TestWeightedPickEngineOp):
-    """The same contract through SparkEngine, which collects the tuples and
-    then runs the shared driver-side pick."""
-
-    @pytest.fixture
-    def eng(self, spark):
-        return _LiftTuples(SparkEngine(spark))
-
-
-class _LiftTuples:
-    """Hands the pandas test tuples to a Spark engine as a DataFrame."""
-
-    def __init__(self, engine: SparkEngine):
-        self.engine = engine
-
-    def weighted_pick(self, tuples, key_cols, weight_col, requests, out_cols):
-        if len(tuples):
-            sdf = self.engine.from_pandas(tuples)
-        else:  # Spark cannot infer a schema from no rows
-            ddl = ", ".join(f"{c} double" for c in tuples.columns)
-            sdf = self.engine.spark.createDataFrame([], schema=ddl)
-        return self.engine.weighted_pick(sdf, key_cols, weight_col, requests, out_cols)

@@ -8,7 +8,7 @@ import pytest
 
 from repro import synth_data
 from repro.joins.engine import LocalEngine, SparkEngine
-from repro.joins.yannakakis import CNT, RelQuery, sample_join, subtree_counts
+from repro.joins.yannakakis import CNT, RelQuery, collected, sample_join, subtree_counts
 from repro.oracle import assert_equivalent
 from repro.workloads import chain_query, chain_tree, star_query
 from tests.conftest import brute_box_counts, dp_box_counts, label_box
@@ -44,14 +44,14 @@ class TestCountsVsOracle:
 
     def test_leaf_weights_vs_oracle(self, sq, chain_tables):
         assert_equivalent(
-            sq.leaf_weights("x1"),
+            sq.engine.from_pandas(sq.leaf_weights("x1")),
             f"SELECT x1, COUNT(*) AS weight {CHAIN_SQL_FROM} GROUP BY x1",
             **chain_tables,
         )
 
     def test_leaf_weights_non_root_attr_vs_oracle(self, sq, chain_tables):
         assert_equivalent(
-            sq.leaf_weights("x3"),
+            sq.engine.from_pandas(sq.leaf_weights("x3")),
             f"SELECT x3, COUNT(*) AS weight {CHAIN_SQL_FROM} GROUP BY x3",
             **chain_tables,
         )
@@ -100,20 +100,20 @@ class TestSparkLocalParity:
         assert sq.total_count() == lq.total_count()
 
     def test_leaf_weights(self, sq, lq):
-        a = sq.engine.to_pandas(sq.leaf_weights("x2")).sort_values("x2").reset_index(drop=True)
-        b = lq.engine.to_pandas(lq.leaf_weights("x2")).sort_values("x2").reset_index(drop=True)
+        a = sq.leaf_weights("x2").sort_values("x2").reset_index(drop=True)
+        b = lq.leaf_weights("x2").sort_values("x2").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
     def test_multiplicities(self, sq, lq):
         """Per-tuple up–down counts agree; each relation sums to |q(D)|."""
         n = lq.total_count()
-        with sq.multiplicities() as sc, lq.multiplicities() as lc:
-            for name, rel in lq.tree.relations.items():
-                cols = [*rel.attrs, CNT]
-                a = sq.engine.to_pandas(sc[name])[cols].sort_values(cols, ignore_index=True)
-                b = lq.engine.to_pandas(lc[name])[cols].sort_values(cols, ignore_index=True)
-                pd.testing.assert_frame_equal(a, b, check_dtype=False)
-                assert a[CNT].sum() == n
+        sc, lc = sq.multiplicities(), lq.multiplicities()
+        for name, rel in lq.tree.relations.items():
+            cols = [*rel.attrs, CNT]
+            a = sc[name][cols].sort_values(cols, ignore_index=True)
+            b = lc[name][cols].sort_values(cols, ignore_index=True)
+            pd.testing.assert_frame_equal(a, b, check_dtype=False)
+            assert a[CNT].sum() == n
 
     def test_feature_bounds(self, sq, lq):
         a, b = sq.feature_bounds(), lq.feature_bounds()
@@ -158,9 +158,8 @@ class TestSparkSampling:
 
     def test_pool_matches_local_engine(self, sq, lq):
         """The pool depends only on the seed, not on the engine's row order."""
-        with sq.multiplicities() as sc, lq.multiplicities() as lc:
-            a = sq.sample(500, np.random.default_rng(3), counts=sc)
-            b = lq.sample(500, np.random.default_rng(3), counts=lc)
+        a = sq.sample(500, np.random.default_rng(3), counts=sq.multiplicities())
+        b = lq.sample(500, np.random.default_rng(3), counts=lq.multiplicities())
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
         pd.testing.assert_frame_equal(
             sq.sample(300, np.random.default_rng(4)),
@@ -171,10 +170,10 @@ class TestSparkSampling:
     def test_sample_rect_respects_box(self, sq):
         box = {"x1": (0.2, 0.8), "x3": (0.0, 0.5)}
         dfs, carry = label_box(sq, box)
+        counts = collected(sq.engine, subtree_counts(sq.engine, sq.tree, dfs, carry))
         groups = pd.DataFrame({"__iv_x1": [0] * 30, "__iv_x3": [0] * 30})
         s = sample_join(
-            sq.engine, sq.tree, dfs, 30, np.random.default_rng(1), ["x1", "x3"],
-            carry=carry, groups=groups,
+            sq.engine, sq.tree, counts, 30, np.random.default_rng(1), ["x1", "x3"], carry, groups
         )
         assert len(s) == 30
         assert ((s["x1"] >= 0.2) & (s["x1"] < 0.8)).all()
@@ -208,7 +207,7 @@ class TestSparkStar:
         t["orders"] = t["orders"].rename(columns={"o_orderkey": "l_orderkey"})
         t["customer"] = t["customer"].rename(columns={"c_custkey": "o_custkey"})
         assert_equivalent(
-            Q.leaf_weights("c_acctbal_s"),
+            Q.engine.from_pandas(Q.leaf_weights("c_acctbal_s")),
             "SELECT c_acctbal_s, COUNT(*) AS weight "
             "FROM lineitem JOIN orders USING (l_orderkey) "
             "JOIN customer USING (o_custkey) GROUP BY c_acctbal_s",
