@@ -3,6 +3,10 @@
 On the Zipf chain the join size grows super-linearly in N, so the full-join
 baseline's time must grow faster than NEW's — the crossover/shape claim
 behind "without the need for pre-computing the join query results".
+
+Each N gets a fresh query, and ``test_scaling_new`` times its first (cold)
+call, which includes the up–down multiplicity pass that later calls on the
+same query would skip.
 """
 import pytest
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from repro.clustering import cluster
+from repro.clustering import check_args, cluster
 from repro.clustering.cost import weighted_cost
 from repro.joins.yannakakis import RelQuery
 
@@ -35,8 +35,10 @@ def full_join_cluster(
     """Materialize, collect, cluster. Returns (centers, cost, timings).
 
     ``P`` short-circuits materialization when the harness already holds the
-    join (so cost ratios and runtimes can be reported separately).
+    join (so cost ratios and runtimes can be reported separately). k < 1 and
+    an unknown objective raise ``ValueError`` before the join is materialized.
     """
+    check_args(k, objective)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     if P is None:

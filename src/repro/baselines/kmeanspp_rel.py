@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.clustering import cluster
+from repro.clustering import check_args, cluster
 from repro.clustering.cost import assign
 from repro.clustering.lloyd import pp_init
 from repro.core.coreset_fast import Coreset
@@ -33,7 +33,12 @@ def rel_kmeanspp(
     pool_size: int = 20_000,
     t: int | None = None,
 ) -> tuple[np.ndarray, Coreset, dict]:
-    """Relational k-means++ coreset clustering. Returns (centers, coreset, timings)."""
+    """Relational k-means++ coreset clustering. Returns (centers, coreset, timings).
+
+    k < 1, an unknown objective and pool_size < 1 raise ``ValueError`` before
+    any engine work.
+    """
+    check_args(k, objective)
     if pool_size < 1:
         raise ValueError(f"pool_size must be at least 1, got {pool_size}")
     rng = np.random.default_rng(seed)

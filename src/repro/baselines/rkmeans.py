@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro.clustering import cluster
+from repro.clustering import check_args, cluster
 from repro.clustering.cost import assign
 from repro.core.coreset_fast import Coreset
 from repro.joins.yannakakis import CNT, RelQuery, grouped_counts
@@ -30,7 +30,11 @@ def rkmeans(
     seed: int = 0,
     per_relation_sample: int = 100_000,
 ) -> tuple[np.ndarray, Coreset, dict]:
-    """Rk-means grid-coreset clustering. Returns (centers, grid coreset, timings)."""
+    """Rk-means grid-coreset clustering. Returns (centers, grid coreset, timings).
+
+    k < 1 and an unknown objective raise ``ValueError`` before any engine work.
+    """
+    check_args(k, objective)
     rng = np.random.default_rng(seed)
     eng = Q.engine
     feats = list(Q.tree.all_features)

@@ -1,6 +1,6 @@
 """Standard-setting clustering algorithms (the paper's GkMedianAlg_γ /
 GkMeansAlg_γ / Dk*Alg_γ black boxes) over small weighted point sets."""
 from repro.clustering.cost import weighted_cost
-from repro.clustering.lloyd import cluster
+from repro.clustering.lloyd import check_args, cluster
 
-__all__ = ["cluster", "weighted_cost"]
+__all__ = ["check_args", "cluster", "weighted_cost"]

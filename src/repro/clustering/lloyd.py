@@ -92,6 +92,15 @@ def _medoids(P: np.ndarray, w: np.ndarray, centers: np.ndarray, objective: str) 
     return np.unique(np.asarray(out), axis=0)
 
 
+def check_args(k: int, objective: str) -> None:
+    """ValueError for an unknown objective or k < 1: the checks every
+    clustering entry point makes before any other work."""
+    if objective not in _N_ITER:
+        raise ValueError(f"unknown objective {objective!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def cluster(
     points,
     weights,
@@ -111,10 +120,7 @@ def cluster(
     distinct points exist). k < 1 and points with a NaN or infinite
     coordinate are rejected with a ValueError.
     """
-    if objective not in _N_ITER:
-        raise ValueError(f"unknown objective {objective!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_args(k, objective)
     rng = rng or np.random.default_rng(0)
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.isfinite(P).all():

@@ -2,24 +2,21 @@
 
 A balanced binary tree over the feature attributes. At a leaf (one attribute
 A_u), the weighted 1-D projection H_u = π_{A_u}(q(D)) with multiplicity
-weights is computed *exactly* — one pandas group-by over the call's up–down
-multiplicity frames, collected once per relation, which also weight the
-sample pool — and clustered
-directly (the cost v_S(H_u) is exact, so r_u needs no inflation). At an
-inner node u with children v, z: X = S_v × S_z (≤ k² candidates),
-r = r_v + r_z, and Algorithm 2 (or 1) reduces back to k centers with
-certificate r_u. The root's S is the final (1+ε)γ-approximation
-(Theorem 4.2).
+weights is computed *exactly* — one pandas group-by over the query's up–down
+multiplicity frames, collected once per query and kept by ``RelQuery``,
+which also weight the sample pool — and clustered directly (the cost
+v_S(H_u) is exact, so r_u needs no inflation). At an inner node u with
+children v, z: X = S_v × S_z (≤ k² candidates), r = r_v + r_z, and
+Algorithm 2 (or 1) reduces back to k centers with certificate r_u. The
+root's S is the final (1+ε)γ-approximation (Theorem 4.2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
-import pandas as pd
 
-from repro.clustering import cluster
+from repro.clustering import check_args, cluster
 from repro.clustering.cost import weighted_cost
 from repro.core import coreset_fast
 from repro.core.coreset_slow import build_coreset_slow
@@ -71,20 +68,10 @@ def _alpha(eps: float, objective: str, discrete: bool) -> float:
 
 
 def _leaf(
-    Q: RelQuery,
-    attr: str,
-    k: int,
-    objective: str,
-    discrete: bool,
-    rng: np.random.Generator,
-    *,
-    counts: Mapping[str, pd.DataFrame] | None = None,
+    Q: RelQuery, attr: str, k: int, objective: str, discrete: bool, rng: np.random.Generator
 ) -> NodeResult:
-    """Algorithm 3 lines 1–8: exact weighted 1-D projection, clustered.
-
-    ``counts``: the call's :meth:`RelQuery.multiplicities` (default: fresh).
-    """
-    H = Q.leaf_weights(attr, counts)
+    """Algorithm 3 lines 1–8: exact weighted 1-D projection, clustered."""
+    H = Q.leaf_weights(attr)
     P = H[attr].to_numpy(dtype=np.float64)[:, None]
     w = H["weight"].to_numpy(dtype=np.float64)
     S, _ = cluster(P, w, k, objective, discrete=discrete, rng=rng)
@@ -111,12 +98,9 @@ def relational_cluster(
     node's dimension, is enumerated and claimed on the driver).
     Bad arguments raise ``ValueError`` before any engine work.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_args(k, objective)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if objective not in ("median", "means"):
-        raise ValueError(f"unknown objective {objective!r}")
     if method not in ("fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
     if method == "fast" and pool_size < 1:
@@ -133,7 +117,7 @@ def relational_cluster(
 
     def solve(lo: int, hi: int) -> NodeResult:
         if hi - lo == 1:
-            res = _leaf(Q, feats[lo], k, objective, discrete, rng, counts=counts)
+            res = _leaf(Q, feats[lo], k, objective, discrete, rng)
             nodes.append(res)
             return res
         mid = (lo + hi) // 2
@@ -154,11 +138,10 @@ def relational_cluster(
         nodes.append(res)
         return res
 
-    # One up–down pass, collected once, serves the pool and every leaf H_u.
-    counts = Q.multiplicities()
+    # The query's one up–down pass serves the pool and every leaf H_u.
     if method == "fast":
         z = min(pool_size, max(10 * n, 1))
-        pool = Q.sample(z, rng, attrs=feats, counts=counts).to_numpy(dtype=np.float64)
+        pool = Q.sample(z, rng, attrs=feats).to_numpy(dtype=np.float64)
     root = solve(0, len(feats))
     # Root attrs may be a permutation of feats (balanced split order);
     # reorder center columns to the canonical feature order.

@@ -14,8 +14,10 @@ never materialize the join result:
 - ``grouped_counts``: ``subtree_counts`` with carried columns, grouped by
   them at the root (the Rk-means baseline's grid-cell weights).
 - ``collected``: a DP's per-relation count frames, each collected to the
-  driver once (O(N) rows). Everything downstream reads these pandas frames:
-  a leaf projection H_u is one group-by of the collected multiplicities.
+  driver once (O(N) rows). ``RelQuery`` keeps its collected multiplicities
+  once per query, so every later call reads these pandas frames and runs no
+  engine job for them: a leaf projection H_u is one group-by of them, and
+  they weight the sampler's picks.
 - ``sample_join``: uniform sampling of join results with replacement — one
   driver-side weighted pick at the root, then one per-key pick per tree edge
   (Zhao et al. style); with carried columns, each sample is uniform over the
@@ -192,6 +194,12 @@ class RelQuery:
     All public methods operate on the semi-join-reduced database and never
     materialize q(D) (except :meth:`materialize`, which exists only for the
     two-step baseline and for exact cost evaluation in the harness).
+
+    A query is immutable after construction, so what depends only on (q, D)
+    is computed on first use and kept: |q(D)|, the feature bounds, and the
+    collected up–down multiplicities that every leaf projection and every
+    sample reads. :meth:`close` (or leaving a ``with`` block) releases the
+    cached reduced frames and the multiplicities.
     """
 
     def __init__(self, engine: Engine, tree: JoinTree, tables: Mapping[str, object]):
@@ -206,6 +214,20 @@ class RelQuery:
         self.dfs = {n: engine.cache(df) for n, df in reduced.items()}
         self._n: int | None = None
         self._bounds: dict[str, tuple[float, float]] | None = None
+        self._mult: dict[str, pd.DataFrame] | None = None
+
+    def close(self) -> None:
+        """Unpersist the reduced frames and drop the kept multiplicities; a
+        second call does nothing."""
+        for df in self.dfs.values():
+            self.engine.unpersist(df)
+        self._mult = None
+
+    def __enter__(self) -> "RelQuery":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- counting ---------------------------------------------------------
     def total_count(self) -> int:
@@ -215,20 +237,22 @@ class RelQuery:
         return self._n
 
     def multiplicities(self) -> dict[str, pd.DataFrame]:
-        """Every relation's up–down ``multiplicities`` frame, collected once."""
-        return collected(self.engine, multiplicities(self.engine, self.tree, self.dfs))
+        """Every relation's up–down ``multiplicities`` frame, collected on
+        first use and kept (once per query). Callers share these frames and
+        must not modify them."""
+        if self._mult is None:
+            self._mult = collected(self.engine, multiplicities(self.engine, self.tree, self.dfs))
+        return self._mult
 
-    def leaf_weights(self, attr: str, counts: Mapping[str, pd.DataFrame] | None = None):
+    def leaf_weights(self, attr: str) -> pd.DataFrame:
         """Weighted 1-D projection H_u of q(D) on ``attr`` (Algorithm 3 leaf).
 
         Returns a pandas frame (attr, weight) sorted by ``attr``: weight =
         multiplicity of the value in the multiset projection, a group-by of
-        the collected up–down ``counts`` (default: :meth:`multiplicities`)
-        of a relation containing ``attr``.
+        the :meth:`multiplicities` frame of a relation containing ``attr``.
         """
-        counts = counts or self.multiplicities()
         rel = self.tree.relation_with_attr(attr)
-        H = counts[rel].groupby(attr, as_index=False, dropna=False)[CNT].sum()
+        H = self.multiplicities()[rel].groupby(attr, as_index=False, dropna=False)[CNT].sum()
         return H.rename(columns={CNT: "weight"})
 
     def feature_bounds(self) -> dict[str, tuple[float, float]]:
@@ -243,12 +267,12 @@ class RelQuery:
         return self._bounds
 
     # -- sampling ---------------------------------------------------------
-    def sample(self, z: int, rng: np.random.Generator, attrs: Sequence[str] | None = None,
-               counts: Mapping[str, pd.DataFrame] | None = None) -> pd.DataFrame:
+    def sample(self, z: int, rng: np.random.Generator,
+               attrs: Sequence[str] | None = None) -> pd.DataFrame:
         """z uniform samples of q(D) projected to ``attrs`` (default: features),
-        weighted by ``counts`` (default: :meth:`multiplicities`)."""
+        weighted by the :meth:`multiplicities` frames."""
         attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
-        return sample_join(self.engine, self.tree, counts or self.multiplicities(), z, rng, attrs)
+        return sample_join(self.engine, self.tree, self.multiplicities(), z, rng, attrs)
 
     # -- baseline/evaluation only -----------------------------------------
     def materialize(self, attrs: Sequence[str] | None = None):

@@ -102,8 +102,8 @@ class TestTable1Shape:
 
 
 class TestBadArguments:
-    """Every baseline rejects k < 1 (through ``cluster``), and the
-    k-means++ baseline rejects an empty pool before it samples."""
+    """Every baseline rejects k < 1, and the k-means++ baseline rejects an
+    empty pool before it samples."""
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, chain_small, chain_small_join, k):
@@ -122,3 +122,42 @@ class TestBadArguments:
         monkeypatch.setattr(chain_small, "sample", no_sampling)
         with pytest.raises(ValueError, match="pool_size must be at least 1"):
             rel_kmeanspp(chain_small, 3, pool_size=pool_size)
+
+
+class TestArgumentsCheckedFirst:
+    """Each baseline rejects k < 1 and an unknown objective at entry, before
+    it collects, counts, samples or materializes anything."""
+
+    @pytest.fixture
+    def spied(self, local, monkeypatch):
+        from repro.joins import yannakakis
+
+        tree, tables = random_instance(30, n=30, n_keys=4)
+        Q = RelQuery(local, tree, tables)
+        calls: list[str] = []
+
+        def spy(owner, name):
+            orig = getattr(owner, name)
+
+            def wrapper(*a, **kw):
+                calls.append(name)
+                return orig(*a, **kw)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(Q.engine, "to_pandas")
+        spy(yannakakis, "subtree_counts")
+        spy(Q, "materialize")
+        return Q, calls
+
+    @pytest.mark.parametrize("baseline", [rkmeans, rel_kmeanspp, full_join_cluster])
+    @pytest.mark.parametrize("k, objective, match", [
+        (0, "means", "k must be at least 1"),
+        (-2, "median", "k must be at least 1"),
+        (3, "kcenter", "unknown objective"),
+    ])
+    def test_no_engine_work(self, spied, baseline, k, objective, match):
+        Q, calls = spied
+        with pytest.raises(ValueError, match=match):
+            baseline(Q, k, objective)
+        assert calls == []

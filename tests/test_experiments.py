@@ -41,6 +41,9 @@ class TestKMedianTable:
         Q = build_chain(eng, 150, 0)
         assert (table["join_size"] == Q.total_count()).all()
 
+    def test_prep_time_reported(self, table):
+        assert (table["prep_s"] > 0).all()
+
 
 class TestKMeansTable:
     @pytest.fixture(scope="class")
@@ -57,6 +60,7 @@ class TestKMeansTable:
 
     def test_positive_times(self, table):
         assert (table["seconds"] > 0).all()
+        assert (table["prep_s"] > 0).all()
 
 
 class TestScalingTable:
@@ -71,6 +75,7 @@ class TestDeterministicTable:
     def test_runs_and_bounded(self, eng):
         t = deterministic_table(eng, n=50, k=2, seed=0)
         assert len(t) == 6
+        assert (t["prep_s"] > 0).all()
         det = t[t["method"].str.contains("det")]
         assert (det["ratio_vs_best"] <= 2.0).all()
 

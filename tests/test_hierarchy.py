@@ -1,5 +1,6 @@
 """Algorithm 3 (attribute tree) and the end-to-end pipeline, local engine."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.full_join import exact_cost, full_join_cluster
@@ -130,13 +131,15 @@ class TestLeaves:
 
 
 class TestCallStructure:
-    def test_one_dp_and_one_collect_per_relation(self, chain_small, monkeypatch):
-        """A fast call runs one counting DP (the up–down pass) and collects
-        each relation's count frame once; the leaves and picks read those."""
+    def test_one_dp_and_one_collect_per_relation(self, local, monkeypatch):
+        """The first fast call on a query runs one counting DP (the up–down
+        pass) and collects each relation's count frame once; the leaves and
+        picks read those. A second call on the same query runs neither."""
         from repro.joins import yannakakis
+        from repro.workloads import chain_query
 
-        Q = chain_small
-        Q.total_count()  # cached on the query before the call
+        Q = chain_query(local, n=300, n_keys=40, seed=5)
+        Q.total_count()  # cached on the query before the calls
         dps, collects = [], []
         orig_dp, orig_collect = yannakakis.subtree_counts, Q.engine.to_pandas
 
@@ -150,10 +153,55 @@ class TestCallStructure:
 
         monkeypatch.setattr(yannakakis, "subtree_counts", dp)
         monkeypatch.setattr(Q.engine, "to_pandas", collect)
-        res = relational_cluster(Q, 3, 0.5, "median", method="fast", pool_size=1500, seed=0)
-        assert len(res.nodes) == 2 * len(Q.tree.all_features) - 1
-        assert len(dps) == 1
-        assert len(collects) == len(Q.tree.relations)
+        for want_dps, want_collects in [(1, len(Q.tree.relations)), (0, 0)]:
+            dps.clear()
+            collects.clear()
+            res = relational_cluster(Q, 3, 0.5, "median", method="fast", pool_size=1500, seed=0)
+            assert len(res.nodes) == 2 * len(Q.tree.all_features) - 1
+            assert len(dps) == want_dps
+            assert len(collects) == want_collects
+
+
+class TestQueryCache:
+    """The multiplicities a query keeps are shared by every later call, so
+    no call may change them, and a warm call equals a cold one bit for bit."""
+
+    def test_calls_leave_kept_frames_unchanged(self, local):
+        from repro.baselines.kmeanspp_rel import rel_kmeanspp
+        from repro.workloads import chain_query
+
+        Q = chain_query(local, n=300, n_keys=40, seed=5)
+        kept = Q.multiplicities()
+        before = {name: df.copy(deep=True) for name, df in kept.items()}
+        rel_kmedian(Q, 3, pool_size=1500, seed=0)
+        rel_kmeans(Q, 3, pool_size=1500, seed=1, discrete=True)
+        rel_kmeanspp(Q, 3, pool_size=1500, seed=2)
+        Q.sample(500, np.random.default_rng(3))
+        for f in Q.tree.all_features:
+            Q.leaf_weights(f)
+        assert Q.multiplicities() is kept
+        assert kept.keys() == before.keys()
+        for name, df in before.items():
+            pd.testing.assert_frame_equal(kept[name], df)
+
+    @pytest.mark.parametrize("objective, discrete, method", [
+        ("median", False, "fast"),
+        ("means", True, "fast"),
+        ("median", False, "slow"),
+    ])
+    def test_warm_call_equals_fresh_query(self, local, objective, discrete, method):
+        from repro.workloads import chain_query
+
+        def call(Q):
+            return relational_cluster(Q, 2, 0.8, objective, method=method,
+                                      discrete=discrete, pool_size=1000, seed=4)
+
+        warm = chain_query(local, n=80, n_keys=8, seed=5)
+        relational_cluster(warm, 3, 0.5, "means", pool_size=800, seed=9)
+        a = call(warm)
+        b = call(chain_query(local, n=80, n_keys=8, seed=5))
+        assert np.array_equal(a.centers, b.centers)
+        assert a.r == b.r
 
 
 def chain_with_bad_x1(engine, value):

@@ -69,3 +69,27 @@ class TestCyclicOnSpark:
         res = rel_kmedian(Q, 2, eps=0.5, pool_size=2000, seed=0)
         _, cost_fj, _ = full_join_cluster(Q, 2, "median", P=P, seed=0)
         assert exact_cost(P, res.centers, "median") / cost_fj <= 1.6
+
+
+class TestQueryLifetime:
+    def test_warm_call_equals_fresh_query(self, spark, sq):
+        """Calls on one query share its kept multiplicities; a warm call
+        returns what the same seed returns on a fresh query, bit for bit."""
+        rel_kmedian(sq, 3, pool_size=3000, seed=5)
+        warm = rel_kmedian(sq, 3, pool_size=3000, seed=0)
+        with chain_query(SparkEngine(spark), n=400, n_keys=50, seed=9) as fresh:
+            cold = rel_kmedian(fresh, 3, pool_size=3000, seed=0)
+        assert np.array_equal(warm.centers, cold.centers)
+        assert warm.r == cold.r
+
+    def test_close_unpersists_reduced_frames(self, spark):
+        from pyspark import StorageLevel
+
+        Q = chain_query(SparkEngine(spark), n=100, n_keys=10, seed=2)
+        Q.total_count()
+        kept = Q.multiplicities()
+        assert all(df.storageLevel != StorageLevel.NONE for df in Q.dfs.values())
+        Q.close()
+        assert all(df.storageLevel == StorageLevel.NONE for df in Q.dfs.values())
+        Q.close()  # a second close does nothing
+        assert Q.multiplicities() is not kept

@@ -158,8 +158,8 @@ class TestSparkSampling:
 
     def test_pool_matches_local_engine(self, sq, lq):
         """The pool depends only on the seed, not on the engine's row order."""
-        a = sq.sample(500, np.random.default_rng(3), counts=sq.multiplicities())
-        b = lq.sample(500, np.random.default_rng(3), counts=lq.multiplicities())
+        a = sample_join(sq.engine, sq.tree, sq.multiplicities(), 500, np.random.default_rng(3))
+        b = sample_join(lq.engine, lq.tree, lq.multiplicities(), 500, np.random.default_rng(3))
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
         pd.testing.assert_frame_equal(
             sq.sample(300, np.random.default_rng(4)),

@@ -201,6 +201,14 @@ class TestRelQuery:
         H = Q.leaf_weights("fa")
         assert H["weight"].sum() == Q.total_count()
 
+    def test_multiplicities_kept_until_close(self, eng):
+        tree, tables = random_instance(6)
+        with RelQuery(eng, tree, tables) as Q:
+            kept = Q.multiplicities()
+            assert Q.multiplicities() is kept
+        Q.close()  # a second close does nothing
+        assert Q.multiplicities() is not kept
+
     def test_feature_bounds_exact(self, eng):
         tree, tables = random_instance(5)
         Q = RelQuery(eng, tree, tables)
