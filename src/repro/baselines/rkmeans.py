@@ -1,11 +1,13 @@
 """Baseline [23] — Curtin et al. "Rk-means: fast clustering for relational data".
 
-Per relation R_j: run k-means on its feature columns → k_j centers. The grid
+Per relation R_j: run k-means on the feature columns of its reduced tuples
+(read from the query's kept multiplicity frames) → k_j centers. The grid
 coreset is the cross product of the per-relation center sets (≤ k^m points in
 the full feature space); the weight of a grid point is the number of join
 results whose per-relation projections are assigned to that center
-combination. The weights are computed **relationally** by the one counting
-DP, ``subtree_counts`` with the assigned-center id columns as ``carry``,
+combination. Each tuple's assigned-center id is computed on the driver
+(``RelQuery.labelled``), and the weights are computed **relationally** by the
+one counting DP, ``subtree_counts`` with those id columns as ``carry``,
 grouped by those ids at the root (``grouped_counts``) — no join
 materialization. A standard weighted k-means on the grid gives the final
 centers, with the paper-reported γ² + 4γ√γ + 4γ approximation factor.
@@ -36,30 +38,27 @@ def rkmeans(
     """
     check_args(k, objective)
     rng = np.random.default_rng(seed)
-    eng = Q.engine
     feats = list(Q.tree.all_features)
     t0 = time.perf_counter()
     rel_centers: dict[str, np.ndarray] = {}
-    tagged: dict[str, object] = {}
+    labels = {}
     for name, rel in Q.tree.relations.items():
-        df = Q.dfs[name]
         if not rel.features:
-            tagged[name] = df
             continue
-        fp = eng.to_pandas(eng.project(df, list(rel.features)))
-        P = fp.to_numpy(dtype=np.float64)
+        fs = list(rel.features)
+        P = Q.multiplicities()[name][fs].to_numpy(dtype=np.float64)
         if len(P) > per_relation_sample:
             P = P[rng.choice(len(P), per_relation_sample, replace=False)]
         C, _ = cluster(P, None, k, objective, rng=rng)
         C = rel_centers[name] = np.atleast_2d(C)
-        tagged[name] = eng.label_rows(
-            df, list(rel.features), lambda P, C=C: assign(P, C), f"__cid_{name}"
-        )
+        labels[name] = {
+            f"__cid_{name}": lambda t, C=C, fs=fs: assign(t[fs].to_numpy(dtype=np.float64), C)
+        }
+    dfs, carry = Q.labelled(labels)
     t_assign = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    carry = {name: [f"__cid_{name}"] for name in rel_centers}
-    weights_pdf = grouped_counts(eng, Q.tree, tagged, carry)
+    weights_pdf = grouped_counts(Q.engine, Q.tree, dfs, carry)
     t_weights = time.perf_counter() - t0
 
     # Build grid points in canonical feature order from the cid combinations.

@@ -73,6 +73,23 @@ _UPDATE = {"median": geometric_median, "means": _mean}
 _N_ITER = {"median": 40, "means": 60}
 
 
+# Elements of the (rows, m, d) pairwise-difference block in _medoid_costs.
+_BLOCK = 1 << 18
+
+
+def _medoid_costs(Q: np.ndarray, wq: np.ndarray, objective: str) -> np.ndarray:
+    """Σ_j wq[j]·dist(Q[i], Q[j])^power for every i, one block of rows at a
+    time, so memory is O(block · m) for m points, never O(m²)."""
+    rows = max(1, _BLOCK // Q.size)
+    out = np.empty(len(Q))
+    for s in range(0, len(Q), rows):
+        d = np.sqrt(((Q[s : s + rows, None, :] - Q[None, :, :]) ** 2).sum(axis=2))
+        if objective == "means":
+            d = d**2
+        out[s : s + rows] = (d * wq[None, :]).sum(axis=1)
+    return out
+
+
 def _medoids(P: np.ndarray, w: np.ndarray, centers: np.ndarray, objective: str) -> np.ndarray:
     """Snap each center to the best input point of its cluster (discrete)."""
     lab = assign(P, centers)
@@ -84,11 +101,8 @@ def _medoids(P: np.ndarray, w: np.ndarray, centers: np.ndarray, objective: str) 
             d = ((P - centers[i]) ** 2).sum(axis=1)
             out.append(P[d.argmin()])
             continue
-        Q, wq = P[m], w[m]
-        d = np.sqrt(((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2))
-        if objective == "means":
-            d = d**2
-        out.append(Q[(d * wq[None, :]).sum(axis=1).argmin()])
+        Q = P[m]
+        out.append(Q[_medoid_costs(Q, w[m], objective).argmin()])
     return np.unique(np.asarray(out), axis=0)
 
 

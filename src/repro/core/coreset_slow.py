@@ -113,14 +113,13 @@ def claim_weights(
     eng, tree = Q.engine, Q.tree
     edges = [np.unique(np.r_[los[:, t], his[:, t]]) for t in range(len(features_u))]
     ivs = [f"__iv_{f}" for f in features_u]
-    dfs, carry = dict(Q.dfs), {}
+    labels: dict[str, dict] = {}
     for f, e, iv in zip(features_u, edges, ivs):
-        rel = tree.relation_with_attr(f)
         # Half-open intervals [e[i], e[i+1]) get id i, like the boxes.
-        dfs[rel] = eng.label_rows(
-            dfs[rel], [f], lambda P, e=e: np.searchsorted(e, P[:, 0], side="right") - 1, iv
+        labels.setdefault(tree.relation_with_attr(f), {})[iv] = (
+            lambda t, f=f, e=e: np.searchsorted(e, t[f].to_numpy(np.float64), side="right") - 1
         )
-        carry.setdefault(rel, []).append(iv)
+    dfs, carry = Q.labelled(labels)
     counts = collected(eng, subtree_counts(eng, tree, dfs, carry))
     cells = counts[tree.root].groupby(ivs, as_index=False)[CNT].sum()  # sorted by ivs
     E = cells[ivs].to_numpy(dtype=np.int64)

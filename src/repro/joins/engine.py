@@ -56,10 +56,6 @@ class Engine(ABC):
         empty frame)."""
 
     @abstractmethod
-    def minmax(self, df, cols: Sequence[str]) -> dict[str, tuple[float, float]]:
-        """Per-column (min, max); NaN bounds for an empty frame."""
-
-    @abstractmethod
     def cache(self, df):
         """Mark for reuse (no-op on pandas)."""
 
@@ -110,12 +106,6 @@ class Engine(ABC):
         out.insert(0, "__sid", reqs["__sid"].to_numpy())
         return out
 
-    @abstractmethod
-    def label_rows(self, df, cols: Sequence[str], fn, out: str):
-        """Add the int64 column ``out`` = ``fn(P)``, where P is the (n, len(cols))
-        float64 array of ``cols`` and ``fn`` returns one label per row (a
-        nearest-center index, an interval id, ...)."""
-
 
 class LocalEngine(Engine):
     """pandas implementation — for fast unit tests and Spark cross-checks."""
@@ -157,19 +147,11 @@ class LocalEngine(Engine):
     def sum_col(self, df, col):
         return int(df[col].sum()) if len(df) else 0
 
-    def minmax(self, df, cols):
-        return {c: (float(df[c].min()), float(df[c].max())) for c in cols}
-
     def cache(self, df):
         return df
 
     def unpersist(self, df):
         pass
-
-    def label_rows(self, df, cols, fn, out):
-        res = df.copy()
-        res[out] = np.asarray(fn(df[list(cols)].to_numpy(dtype=np.float64)), dtype=np.int64)
-        return res
 
 
 class SparkEngine(Engine):
@@ -216,33 +198,8 @@ class SparkEngine(Engine):
         row = df.agg(F.sum(col).alias("s")).collect()[0]
         return int(row["s"]) if row["s"] is not None else 0
 
-    def minmax(self, df, cols):
-        from pyspark.sql import functions as F
-
-        aggs = []
-        for c in cols:
-            aggs += [F.min(c).alias(f"__mn_{c}"), F.max(c).alias(f"__mx_{c}")]
-        row = df.agg(*aggs).collect()[0]
-        return {
-            c: (
-                float(row[f"__mn_{c}"]) if row[f"__mn_{c}"] is not None else float("nan"),
-                float(row[f"__mx_{c}"]) if row[f"__mx_{c}"] is not None else float("nan"),
-            )
-            for c in cols
-        }
-
     def cache(self, df):
         return df.cache()
 
     def unpersist(self, df):
         df.unpersist()
-
-    def label_rows(self, df, cols, fn, out):
-        from pyspark.sql import functions as F
-
-        @F.pandas_udf("long")
-        def _label(*series: pd.Series) -> pd.Series:
-            P = np.column_stack([s.to_numpy(dtype=np.float64) for s in series])
-            return pd.Series(np.asarray(fn(P), dtype=np.int64))
-
-        return df.withColumn(out, _label(*[F.col(x) for x in cols]))

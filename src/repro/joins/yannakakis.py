@@ -24,13 +24,14 @@ never materialize the join result:
   join results having the requested carried values.
 
 Lemma 2.1's CountRect / SampleRect are these two with carried columns: label
-each tuple with the box (or interval) its features fall in, and the carried
-DP counts every box at once, while the carried sampler draws inside any of
-them (Algorithm 1 in ``core.coreset_slow``).
+each tuple with the box (or interval) its features fall in
+(``RelQuery.labelled``, on the driver), and the carried DP counts every box
+at once, while the carried sampler draws inside any of them (Algorithm 1 in
+``core.coreset_slow``).
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -196,10 +197,10 @@ class RelQuery:
     two-step baseline and for exact cost evaluation in the harness).
 
     A query is immutable after construction, so what depends only on (q, D)
-    is computed on first use and kept: |q(D)|, the feature bounds, and the
-    collected up–down multiplicities that every leaf projection and every
-    sample reads. :meth:`close` (or leaving a ``with`` block) releases the
-    cached reduced frames and the multiplicities.
+    is computed on first use and kept: |q(D)| and the collected up–down
+    multiplicities that every leaf projection, every sample, every label and
+    the feature bounds read. :meth:`close` (or leaving a ``with`` block)
+    releases the cached reduced frames and the multiplicities.
     """
 
     def __init__(self, engine: Engine, tree: JoinTree, tables: Mapping[str, object]):
@@ -213,7 +214,6 @@ class RelQuery:
         reduced = full_reduce(engine, tree, dfs)
         self.dfs = {n: engine.cache(df) for n, df in reduced.items()}
         self._n: int | None = None
-        self._bounds: dict[str, tuple[float, float]] | None = None
         self._mult: dict[str, pd.DataFrame] | None = None
 
     def close(self) -> None:
@@ -256,15 +256,33 @@ class RelQuery:
         return H.rename(columns={CNT: "weight"})
 
     def feature_bounds(self) -> dict[str, tuple[float, float]]:
-        """Exact per-feature min/max of the join multiset (every reduced tuple
-        appears in ≥1 result, so per-relation bounds are join bounds)."""
-        if self._bounds is None:
-            out: dict[str, tuple[float, float]] = {}
-            for name, rel in self.tree.relations.items():
-                if rel.features:
-                    out.update(self.engine.minmax(self.dfs[name], list(rel.features)))
-            self._bounds = out
-        return self._bounds
+        """Exact per-feature min/max of the join multiset, read off the
+        :meth:`multiplicities` frames (every reduced tuple appears in ≥1
+        result, so per-relation bounds are join bounds); NaN for an empty
+        join."""
+        mult = self.multiplicities()
+        return {f: (float(mult[name][f].min()), float(mult[name][f].max()))
+                for name, rel in self.tree.relations.items() for f in rel.features}
+
+    def labelled(
+        self, labels: Mapping[str, Mapping[str, Callable[[pd.DataFrame], np.ndarray]]]
+    ) -> tuple[dict[str, object], dict[str, list[str]]]:
+        """The inputs (frames, carry) of a carried counting DP.
+
+        ``labels[rel][col]`` maps relation ``rel``'s reduced tuples (its
+        :meth:`multiplicities` frame without ``__cnt``) to one label per
+        tuple, in numpy on the driver. Each labelled relation becomes those
+        tuples plus their int64 label columns, lifted once with
+        ``engine.from_pandas``, and carries its label columns; every other
+        relation is its reduced frame ``dfs[rel]``. The kept frames are
+        not modified.
+        """
+        dfs = dict(self.dfs)
+        for rel, fns in labels.items():
+            tuples = self.multiplicities()[rel].drop(columns=CNT)
+            cols = {col: np.asarray(fn(tuples), dtype=np.int64) for col, fn in fns.items()}
+            dfs[rel] = self.engine.from_pandas(tuples.assign(**cols))
+        return dfs, {rel: list(fns) for rel, fns in labels.items()}
 
     # -- sampling ---------------------------------------------------------
     def sample(self, z: int, rng: np.random.Generator,

@@ -29,19 +29,16 @@ def brute_force_join(tree: JoinTree, tables: dict[str, pd.DataFrame]) -> pd.Data
 
 
 def label_box(Q, box: dict[str, tuple[float, float]]):
-    """Q's reduced frames with an interval-id column ``__iv_<attr>`` per box
-    attribute (-1 below lo, 0 in [lo, hi), 1 from hi up), and the carry that
-    makes the counting DP and the sampler split by those ids."""
-    dfs, carry = dict(Q.dfs), {}
+    """Q's frames (``Q.labelled``) with an interval-id column ``__iv_<attr>``
+    per box attribute (-1 below lo, 0 in [lo, hi), 1 from hi up), and the
+    carry that makes the counting DP and the sampler split by those ids."""
+    labels: dict[str, dict] = {}
     for attr, (lo, hi) in box.items():
-        rel = Q.tree.relation_with_attr(attr)
         edges = np.array([lo, hi], dtype=np.float64)
-        dfs[rel] = Q.engine.label_rows(
-            dfs[rel], [attr], lambda P, e=edges: np.searchsorted(e, P[:, 0], side="right") - 1,
-            f"__iv_{attr}",
+        labels.setdefault(Q.tree.relation_with_attr(attr), {})[f"__iv_{attr}"] = (
+            lambda t, a=attr, e=edges: np.searchsorted(e, t[a].to_numpy(np.float64), side="right") - 1
         )
-        carry.setdefault(rel, []).append(f"__iv_{attr}")
-    return dfs, carry
+    return Q.labelled(labels)
 
 
 def dp_box_counts(Q, box) -> dict[tuple, int]:

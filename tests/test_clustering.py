@@ -4,6 +4,7 @@ import pytest
 
 from repro.clustering import cluster
 from repro.clustering.cost import assign, weighted_cost
+from repro.clustering import lloyd
 from repro.clustering.lloyd import geometric_median, pp_init
 
 
@@ -171,3 +172,47 @@ class TestEdgeCases:
             n_iter={"median": 40, "means": 60}[objective],
         )
         assert np.array_equal(default[0], explicit[0]) and default[1] == explicit[1]
+
+
+def dense_medoid_costs(Q, wq, objective):
+    """Σ_j wq[j]·dist(Q[i], Q[j])^power from the full (m, m, d) difference array."""
+    d = np.sqrt(((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=2))
+    if objective == "means":
+        d = d**2
+    return (d * wq[None, :]).sum(axis=1)
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+class TestMedoids:
+    """The discrete snap sums distances one row block at a time."""
+
+    @pytest.mark.parametrize("block, m", [(7 * 50 * 3, 50), (7 * 50 * 3, 600), (None, 700)])
+    def test_blocks_equal_dense_formula(self, objective, block, m, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(lloyd, "_BLOCK", block)
+        g = np.random.default_rng(11)
+        Q, wq = g.normal(size=(m, 3)), g.integers(1, 9, m).astype(float)
+        assert lloyd._BLOCK // Q.size < m  # the rows span more than one block
+        assert np.array_equal(lloyd._medoid_costs(Q, wq, objective),
+                              dense_medoid_costs(Q, wq, objective))
+        P, w = g.normal(size=(m, 3)), g.random(m)
+        C = P[:3] + 0.1
+        lab = assign(P, C)
+        want = np.unique(np.asarray(
+            [P[lab == i][dense_medoid_costs(P[lab == i], w[lab == i], objective).argmin()]
+             for i in range(3)]), axis=0)
+        assert np.array_equal(lloyd._medoids(P, w, C, objective), want)
+
+    def test_large_cluster_memory_is_not_quadratic(self, objective):
+        import tracemalloc
+
+        m = 2000  # a dense (m, m, 2) difference array alone is 64 MB
+        P = np.random.default_rng(12).normal(size=(m, 2))
+        tracemalloc.start()
+        try:
+            S, _ = cluster(P, None, 1, objective, discrete=True, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(S) == 1
+        assert peak < 40 * 2**20, peak

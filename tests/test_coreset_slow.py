@@ -189,7 +189,10 @@ class TestClaimWeights:
     def test_one_counting_dp_per_call(self, inst, monkeypatch):
         """One carried DP per node, and no engine collect per cell."""
         Q, joined = inst
-        Q.total_count()  # |q(D)| is cached on the query, as in relational_cluster
+        # |q(D)| and the multiplicities are kept on the query before any
+        # inner node runs, as in relational_cluster (the leaves read them).
+        Q.total_count()
+        Q.multiplicities()
         feats = ["fa", "fb"]
         X, r, _ = setup_X(Q, joined, feats, seed=2)
         dps, collects = [], []

@@ -3,7 +3,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.clustering.cost import assign
 from repro.joins.engine import LocalEngine, SparkEngine
 
 
@@ -71,23 +70,6 @@ class TestLocalOps:
         assert type(got) is int and got == big + 2
         assert type(eng.sum_col(pd.DataFrame({"c": []}), "c")) is int
 
-    def test_minmax(self, eng):
-        got = eng.minmax(sample_df(), ["v", "w"])
-        assert got["v"] == (10.0, 40.0)
-        assert got["w"] == (1.0, 4.0)
-
-    def test_assign_nearest(self, eng):
-        centers = np.array([[10.0], [40.0]])
-        out = eng.label_rows(sample_df(), ["v"], lambda P: assign(P, centers), "cid")
-        assert out["cid"].tolist() == [0, 0, 1, 1]
-
-    def test_assign_nearest_empty(self, eng):
-        out = eng.label_rows(sample_df().iloc[:0], ["v"], lambda P: assign(P, [[0.0]]), "cid")
-        assert len(out) == 0
-
-    def test_label_rows_two_columns(self, eng):
-        out = eng.label_rows(sample_df(), ["k", "v"], lambda P: P.sum(axis=1) > 30, "big")
-        assert out["big"].tolist() == [0, 0, 1, 1]
 
 
 class TestSparkOps:
@@ -122,13 +104,3 @@ class TestSparkOps:
     def test_semijoin_no_duplication(self, se, sdf):
         b = se.from_pandas(pd.DataFrame({"k": [1, 1, 9]}))
         assert len(se.to_pandas(se.semijoin(sdf, b, ["k"]))) == 2
-
-    def test_assign_nearest(self, se, sdf):
-        centers = np.array([[10.0], [40.0]])
-        out = se.to_pandas(se.label_rows(sdf, ["v"], lambda P: assign(P, centers), "cid"))
-        got = dict(zip(out["v"], out["cid"]))
-        assert got == {10.0: 0, 20.0: 0, 30.0: 1, 40.0: 1}
-
-    def test_minmax(self, se, sdf):
-        got = se.minmax(sdf, ["v"])
-        assert got["v"] == (10.0, 40.0)

@@ -168,6 +168,7 @@ class TestQueryCache:
 
     def test_calls_leave_kept_frames_unchanged(self, local):
         from repro.baselines.kmeanspp_rel import rel_kmeanspp
+        from repro.baselines.rkmeans import rkmeans
         from repro.workloads import chain_query
 
         Q = chain_query(local, n=300, n_keys=40, seed=5)
@@ -176,6 +177,8 @@ class TestQueryCache:
         rel_kmedian(Q, 3, pool_size=1500, seed=0)
         rel_kmeans(Q, 3, pool_size=1500, seed=1, discrete=True)
         rel_kmeanspp(Q, 3, pool_size=1500, seed=2)
+        rkmeans(Q, 3, seed=4)
+        relational_cluster(Q, 2, 0.8, "median", method="slow", pool_size=500, seed=5)
         Q.sample(500, np.random.default_rng(3))
         for f in Q.tree.all_features:
             Q.leaf_weights(f)

@@ -45,6 +45,22 @@ class TestChainOnSpark:
         _, cost_fj, _ = full_join_cluster(sq, 3, "means", P=sP, seed=0)
         assert exact_cost(sP, S, "means") / cost_fj < 5.0
 
+    def test_rkmeans_matches_local_engine(self, sq):
+        """The same centers, grid points and weights on Spark as on pandas."""
+        from repro.joins.engine import LocalEngine
+
+        lq = chain_query(LocalEngine(), n=400, n_keys=50, seed=9)
+        (S, grid, _), (lS, lgrid, _) = rkmeans(sq, 3, seed=0), rkmeans(lq, 3, seed=0)
+        assert np.array_equal(S, lS)
+
+        def by_point(g):
+            order = np.lexsort(g.points.T[::-1])
+            return g.points[order], g.weights[order]
+
+        (P, w), (lP, lw) = by_point(grid), by_point(lgrid)
+        assert np.array_equal(P, lP) and np.array_equal(w, lw)
+        assert w.sum() == sq.total_count()
+
     def test_kmeanspp_baseline_on_spark(self, sq, sP):
         S, core, _ = rel_kmeanspp(sq, 3, pool_size=3000, seed=0)
         assert core.total_weight == pytest.approx(sq.total_count())

@@ -121,6 +121,20 @@ class TestSparkLocalParity:
             assert a[f][0] == pytest.approx(b[f][0])
             assert a[f][1] == pytest.approx(b[f][1])
 
+    def test_labelled(self, sq, lq):
+        """The same label columns on both engines, lifted into an engine frame."""
+        from repro.clustering.cost import assign
+
+        centers = np.array([[0.1, 0.2], [0.9, 0.7], [0.5, 0.5]])
+        labels = {"R2": {"cid": lambda t: assign(t[["x2", "k1"]].to_numpy(np.float64), centers)}}
+        (sd, sc), (ld, lc) = sq.labelled(labels), lq.labelled(labels)
+        assert sc == lc == {"R2": ["cid"]}
+        cols = ["k1", "k2", "x2", "cid"]
+        a = sq.engine.to_pandas(sd["R2"])[cols].sort_values(cols, ignore_index=True)
+        b = ld["R2"][cols].sort_values(cols, ignore_index=True)
+        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        assert sd["R1"] is sq.dfs["R1"]
+
     @pytest.mark.parametrize("box", [
         {"x1": (0.0, 0.4)},
         {"x2": (0.3, 0.9), "x3": (0.1, 0.6)},

@@ -218,6 +218,13 @@ class TestRelQuery:
             assert b[f][0] == pytest.approx(joined[f].min())
             assert b[f][1] == pytest.approx(joined[f].max())
 
+    def test_feature_bounds_empty_join_are_nan(self, eng):
+        tree, tables = random_instance(0)
+        tables["C"] = tables["C"].assign(y=999_999)
+        b = RelQuery(eng, tree, tables).feature_bounds()
+        assert set(b) == {"fa", "fb", "fc"}
+        assert all(np.isnan(lo) and np.isnan(hi) for lo, hi in b.values())
+
     @pytest.mark.parametrize("seed", range(4))
     def test_materialize_matches_brute_force(self, eng, seed):
         tree, tables = random_instance(seed)
@@ -239,6 +246,61 @@ class TestRelQuery:
         del tables["C"]
         with pytest.raises(ValueError):
             RelQuery(eng, tree, tables)
+
+
+def sorted_rows(df: pd.DataFrame) -> pd.DataFrame:
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols, ignore_index=True)
+
+
+class TestLabelled:
+    """``RelQuery.labelled``: label columns computed on the driver from the
+    kept multiplicity frames, as the carried counting DP's inputs."""
+
+    def test_nearest_center_labels(self, eng):
+        from repro.clustering.cost import assign
+
+        Q = RelQuery(eng, *random_instance(7))
+        centers = np.array([[0.2], [0.8]])
+        dfs, carry = Q.labelled(
+            {"A": {"cid": lambda t: assign(t[["fa"]].to_numpy(dtype=np.float64), centers)}})
+        assert carry == {"A": ["cid"]}
+        assert dfs["B"] is Q.dfs["B"] and dfs["C"] is Q.dfs["C"]
+        got = dfs["A"]
+        assert got["cid"].dtype == np.int64
+        assert got["cid"].tolist() == np.where(got["fa"] < 0.5, 0, 1).tolist()
+        pd.testing.assert_frame_equal(
+            sorted_rows(got.drop(columns="cid")),
+            sorted_rows(Q.multiplicities()["A"].drop(columns=CNT)),
+        )
+        pd.testing.assert_frame_equal(
+            sorted_rows(got.drop(columns="cid")), sorted_rows(Q.dfs["A"]), check_dtype=False)
+
+    def test_two_labels_on_one_relation(self, eng):
+        Q = RelQuery(eng, *random_instance(8))
+        dfs, carry = Q.labelled({"B": {
+            "big": lambda t: (t["x"] + t["fb"]).to_numpy() > 5,
+            "half": lambda t: t["fb"].to_numpy() >= 0.5,
+        }})
+        assert carry == {"B": ["big", "half"]}
+        b = dfs["B"]
+        assert b["big"].tolist() == (b["x"] + b["fb"] > 5).astype(int).tolist()
+        assert b["half"].tolist() == (b["fb"] >= 0.5).astype(int).tolist()
+
+    def test_empty_join(self, eng):
+        tree, tables = random_instance(0)
+        tables["C"] = tables["C"].assign(y=999_999)
+        Q = RelQuery(eng, tree, tables)
+        dfs, _ = Q.labelled({"C": {"cid": lambda t: np.zeros(len(t))}})
+        assert len(dfs["C"]) == 0 and "cid" in dfs["C"].columns
+
+    def test_kept_frames_unchanged(self, eng):
+        Q = RelQuery(eng, *random_instance(9))
+        kept = Q.multiplicities()
+        before = {name: df.copy(deep=True) for name, df in kept.items()}
+        Q.labelled({"A": {"a": lambda t: np.ones(len(t))}, "B": {"b": lambda t: t["x"].to_numpy()}})
+        for name, df in before.items():
+            pd.testing.assert_frame_equal(kept[name], df)
 
 
 class TestGroupedCounts:
