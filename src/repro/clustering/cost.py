@@ -6,7 +6,7 @@ import numpy as np
 _CHUNK = 262_144
 
 
-def _nearest(P: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest(P: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and distance to, the nearest center in C (k, d) for each
     point in P (n, d).
 
@@ -27,7 +27,7 @@ def _nearest(P: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def assign(P: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Index of the nearest center for each point."""
-    return _nearest(P, C)[0]
+    return nearest(P, C)[0]
 
 
 def weighted_cost(P, C, weights=None, objective: str = "median") -> float:
@@ -35,7 +35,7 @@ def weighted_cost(P, C, weights=None, objective: str = "median") -> float:
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     if len(P) == 0:
         return 0.0
-    d = _nearest(P, C)[1]
+    d = nearest(P, C)[1]
     if objective == "means":
         d = d**2
     elif objective != "median":

@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering.cost import assign, weighted_cost
+from repro.clustering.cost import assign, nearest, weighted_cost
 
 
 def _dedupe(P: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge duplicate points, summing weights."""
-    uniq, inv = np.unique(P, axis=0, return_inverse=True)
-    wu = np.zeros(len(uniq))
+    """Merge duplicate points, summing weights in input order; the distinct
+    points come out sorted by row (as ``np.unique(P, axis=0)`` gives)."""
+    order = np.lexsort(P.T[::-1])  # stable: first column first
+    S = P[order]
+    new = np.r_[True, (S[1:] != S[:-1]).any(axis=1)][: len(S)]
+    inv = np.empty(len(P), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    wu = np.zeros(int(new.sum()))
     np.add.at(wu, inv, w)
-    return uniq, wu
+    return S[new], wu
 
 
 def pp_init(
@@ -106,6 +111,15 @@ def _medoids(P: np.ndarray, w: np.ndarray, centers: np.ndarray, objective: str) 
     return np.unique(np.asarray(out), axis=0)
 
 
+def _assign_cost(
+    P: np.ndarray, C: np.ndarray, w: np.ndarray, objective: str
+) -> tuple[np.ndarray, float]:
+    """Each point's nearest center and ``weighted_cost(P, C, w, objective)``,
+    from one distance pass."""
+    lab, d = nearest(P, C)
+    return lab, float((w * (d**2 if objective == "means" else d)).sum())
+
+
 def check_args(k: int, objective: str) -> None:
     """ValueError for an unknown objective or k < 1: the checks every
     clustering entry point makes before any other work."""
@@ -154,9 +168,11 @@ def cluster(
     best_c, best_cost = None, np.inf
     for _ in range(n_init):
         C = pp_init(P, w, k, rng, power=_POWER[objective])
+        # One nearest-center pass per step: the labels that price C are the
+        # next step's assignment.
+        lab, cost = _assign_cost(P, C, w, objective)
         prev = np.inf
         for _ in range(_N_ITER[objective] if n_iter is None else n_iter):
-            lab = assign(P, C)
             newC = []
             for i in range(len(C)):
                 m = lab == i
@@ -165,11 +181,10 @@ def cluster(
                 else:
                     newC.append(P[rng.choice(len(P), p=w / w.sum())])
             C = np.asarray(newC)
-            cost = weighted_cost(P, C, w, objective)
+            lab, cost = _assign_cost(P, C, w, objective)
             if prev - cost <= tol * max(prev, 1.0):
                 break
             prev = cost
-        cost = weighted_cost(P, C, w, objective)
         if cost < best_cost:
             best_c, best_cost = C, cost
     if discrete:

@@ -14,7 +14,6 @@ heavy/light classification follow the paper exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -81,32 +80,34 @@ def build_coreset_fast(
     )
     j_cap = params.max_level(n_total)
     claimed = np.zeros(len(pool), dtype=bool)
-    reps: list[int] = []
-    wts: list[float] = []
+    reps, wts = [np.zeros(0, np.int64)], [np.zeros(0)]
     n_cells = n_light = n_skipped = 0
     per_point_w = n_total / max(len(pool), 1)
     for i in range(len(X)):
         # Cells around x_i containing at least one pool point, in (level,
         # coords) order. Fully-claimed cells still occur (their points count
         # toward the cell's "all hits" but not toward g_□).
-        levels, coords, members = candidate_cells_from_points(
+        levels, coords, order, starts = candidate_cells_from_points(
             X[i], pool, np.arange(len(pool)), params, j_cap
         )
         ok = condition3(X, i, *cell_corners(X[i], levels, coords, params))
-        n_cells += len(members)
+        n_cells += len(starts)
         n_skipped += int((~ok).sum())
-        for m in compress(members, ok):
-            un = m[~claimed[m]]
-            g = len(un)
-            if g >= 1 and g / len(m) >= 2 * TAU:
-                # Heavy: one representative from the unclaimed samples,
-                # weight = estimated |q_u(D) ∩ (□ \ B)|.
-                reps.append(un[0])
-                wts.append(g * per_point_w)
-                claimed[un] = True
-            else:
-                n_light += 1
+        # The cells around x_i are disjoint, so a claim in one cannot change
+        # g_□ of another: every cell of x_i is classified at once.
+        free = ~claimed[order]
+        g = np.add.reduceat(free.astype(np.int64), starts)
+        size = np.diff(np.r_[starts, len(order)])
+        heavy = ok & (g >= 1) & (g / size >= 2 * TAU)
+        n_light += int((ok & ~heavy).sum())
+        # Heavy: one representative, the first unclaimed sample (members
+        # are in pool order), weight = estimated |q_u(D) ∩ (□ \ B)|.
+        first = np.minimum.reduceat(np.where(free, order, len(pool)), starts)
+        reps.append(first[heavy])
+        wts.append(g[heavy] * per_point_w)
+        claimed[order[free & np.repeat(heavy, size)]] = True
     unclaimed = np.flatnonzero(~claimed)
+    reps = np.concatenate(reps)
     info = {
         "n_cells": n_cells,
         "n_heavy": len(reps),
@@ -117,8 +118,8 @@ def build_coreset_fast(
         "j_cap": j_cap,
     }
     return Coreset(
-        pool[np.r_[np.asarray(reps, dtype=np.int64), unclaimed]],
-        np.r_[np.asarray(wts, dtype=np.float64), np.full(len(unclaimed), per_point_w)],
+        pool[np.r_[reps, unclaimed]],
+        np.concatenate([*wts, np.full(len(unclaimed), per_point_w)]),
         info,
     )
 

@@ -17,6 +17,8 @@ collect per relation.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from repro.core.coreset_fast import Coreset, phi_scale
@@ -55,8 +57,8 @@ def build_coreset_slow(
         tuple(bounds[f][0] - pad for f in features_u),
         tuple(bounds[f][1] + pad for f in features_u),
     )
-    los, his, n_cells = processed_cells(X, params, bbox, params.max_level(n), max_cells)
-    w, pts, n_elementary = claim_weights(Q, features_u, los, his, rng)
+    los, his, n_cells, runs = processed_cells(X, params, bbox, params.max_level(n), max_cells)
+    w, pts, n_elementary = claim_weights(Q, features_u, los, his, rng, runs)
     info = {
         "n_cells": n_cells,
         "n_processed": len(los),
@@ -68,13 +70,15 @@ def build_coreset_slow(
 
 def processed_cells(
     X: np.ndarray, params: GridParams, bbox: Box, j_cap: int, max_cells: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Corners (los, his) of the cells that pass condition (3), in processing
-    order (center, level, then ``enumerate_cells`` order), and the number of
-    cells enumerated."""
+    order (center, level, then ``enumerate_cells`` order), the number of
+    cells enumerated, and the index where each (center, level) grid's run of
+    kept cells starts (one run per grid with a kept cell)."""
     d = X.shape[1]
     los, his = [np.zeros((0, d))], [np.zeros((0, d))]
-    n_cells = 0
+    runs: list[int] = []
+    n_cells = n_kept = 0
     for i in range(len(X)):
         for j in range(j_cap + 1):
             # Annuli strictly outside the data bbox contribute nothing.
@@ -88,6 +92,9 @@ def processed_cells(
                     "reduce d_u / levels or raise the cap"
                 )
             ok = condition3(X, i, lo, hi)
+            if ok.any():
+                runs.append(n_kept)
+                n_kept += int(ok.sum())
             los.append(lo[ok])
             his.append(hi[ok])
             # Stop once Q_{i,j} covers the whole data bbox — all later
@@ -95,7 +102,7 @@ def processed_cells(
             h = params.half_extent(j)
             if np.all(X[i] - h <= bbox.lo) and np.all(np.asarray(bbox.hi) <= X[i] + h):
                 break
-    return np.concatenate(los), np.concatenate(his), n_cells
+    return np.concatenate(los), np.concatenate(his), n_cells, np.asarray(runs, dtype=np.int64)
 
 
 def claim_weights(
@@ -104,12 +111,19 @@ def claim_weights(
     los: np.ndarray,
     his: np.ndarray,
     rng: np.random.Generator,
+    runs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact weights of the half-open boxes [los[b], his[b]) taken in order:
     w[b] = #join results in box b and in no earlier box (int64, one per box).
     Also returns one join result (the ``features_u`` columns) for each box
     with w[b] > 0, in box order, and the number of non-empty elementary
-    cells."""
+    cells.
+
+    ``runs`` (start indices, ascending) cut the box list into runs of
+    consecutive boxes, such as the cells of one (center, level) grid, which
+    ``_first_boxes`` claims at once; by default every box is its own run.
+    Any cut gives the same weights.
+    """
     eng, tree = Q.engine, Q.tree
     edges = [np.unique(np.r_[los[:, t], his[:, t]]) for t in range(len(features_u))]
     ivs = [f"__iv_{f}" for f in features_u]
@@ -127,18 +141,77 @@ def claim_weights(
     # Box b spans elementary intervals A[b] ≤ id < B[b] in every feature.
     A = np.column_stack([np.searchsorted(e, los[:, t]) for t, e in enumerate(edges)])
     B = np.column_stack([np.searchsorted(e, his[:, t]) for t, e in enumerate(edges)])
-    owner = np.full(len(E), -1)
-    free = np.arange(len(E))
-    for b in range(len(los)):
-        inside = ((E[free] >= A[b]) & (E[free] < B[b])).all(axis=1)
-        owner[free[inside]] = b
-        free = free[~inside]
+    owner = _first_boxes(E, A, B, np.arange(len(los)) if runs is None else runs)
     own = owner >= 0
     w = np.zeros(len(los), dtype=np.int64)
     np.add.at(w, owner[own], cnt[own])
     rep = np.flatnonzero(own)[_representatives(E[own], cnt[own], owner[own], edges)]
     pts = sample_join(eng, tree, counts, len(rep), rng, features_u, carry, cells.loc[rep, ivs])
     return w, pts.to_numpy(dtype=np.float64), len(cells)
+
+
+def _first_boxes(E: np.ndarray, A: np.ndarray, B: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """For each row of E (elementary cell ids), the least b with
+    A[b] ≤ E < B[b] in every feature, or -1: the runs are claimed in order,
+    each over the cells that no earlier run holds."""
+    owner = np.full(len(E), -1)
+    free = np.arange(len(E))
+    bounds = np.r_[np.minimum(runs, len(A)), len(A)]
+    todo = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s][::-1]
+    while todo and len(free):
+        s, e = todo.pop()
+        first = _first_in_run(E[free], A[s:e], B[s:e])
+        if first is None:  # not one grid: claim its boxes one at a time
+            todo.extend((b, b + 1) for b in range(e - 1, s - 1, -1))
+            continue
+        got = first >= 0
+        owner[free[got]] = s + first[got]
+        free = free[~got]
+    return owner
+
+
+def _first_in_run(E: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """``_first_boxes`` within one run of boxes, or None if the run is not
+    grid-like: each feature's distinct intervals [A, B), sorted by start,
+    must have distinct starts and overlap at most their neighbours (the
+    cells of one grid, whose float edges may overlap by an ulp). An id then
+    lies in at most the interval k that starts last at or before it, and
+    k − 1, so every candidate box of a cell is found exactly, in integers,
+    by ``searchsorted`` on the starts and on the run's sorted box keys."""
+    first = np.full(len(E), -1)
+    boxes = np.flatnonzero((A < B).all(axis=1))  # an empty box holds nothing
+    if not len(boxes):
+        return first
+    a, b = A[boxes], B[boxes]
+    near = np.flatnonzero(((E >= a.min(axis=0)) & (E < b.max(axis=0))).all(axis=1))
+    cols, dims, ks, in_k, in_prev = [], [], [], [], []
+    for t in range(E.shape[1]):
+        m = b[:, t].max() + 1
+        code, col = np.unique(a[:, t] * m + b[:, t], return_inverse=True)
+        start, end = code // m, code % m
+        if (np.diff(start) <= 0).any() or (end[:-2] > start[2:]).any():
+            return None
+        e = E[near, t]
+        k = np.searchsorted(start, e, side="right") - 1
+        cols.append(col)
+        dims.append(len(code))
+        ks.append(k)
+        in_k.append((k >= 0) & (e < end[np.maximum(k, 0)]))
+        in_prev.append((k >= 1) & (e < end[np.maximum(k - 1, 0)]))
+    key = np.ravel_multi_index(cols, dims)
+    by_key = np.argsort(key, kind="stable")  # equal keys: the least box first
+    key, box = key[by_key], boxes[by_key]
+    best = np.full(len(near), len(A))
+    # Interval k − 1 is a candidate only in features where some id lies in it.
+    for pick in product(*[[0, 1] if p.any() else [0] for p in in_prev]):
+        ok = np.all([p if back else c for back, c, p in zip(pick, in_k, in_prev)], axis=0)
+        q = np.ravel_multi_index([k[ok] - back for k, back in zip(ks, pick)], dims)
+        i = np.minimum(np.searchsorted(key, q), len(key) - 1)
+        hit = key[i] == q
+        cand = np.flatnonzero(ok)[hit]
+        best[cand] = np.minimum(best[cand], box[i[hit]])
+    first[near] = np.where(best < len(A), best, -1)
+    return first
 
 
 def _representatives(

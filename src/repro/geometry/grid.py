@@ -81,36 +81,35 @@ def snap_points(
     (points beyond the outermost annulus land in it — they can only exist when
     r under-estimates v_X, and the cap keeps them covered).
     """
-    diff = P - x[None, :]
-    dist_inf = np.abs(diff).max(axis=1)
+    dist_inf = np.abs(P - x[None, :]).max(axis=1)
     levels = np.minimum(params.level_of(dist_inf), j_cap)
-    coords = np.empty_like(P, dtype=np.int64)
-    for j in np.unique(levels):
-        mask = levels == j
-        side = params.cell_side(int(j))
-        anchor = x - params.half_extent(int(j))
-        coords[mask] = np.floor((P[mask] - anchor[None, :]) / side).astype(np.int64)
+    anchor = x[None, :] - params.half_extent(levels)[:, None]
+    coords = np.floor((P - anchor) / params.cell_side(levels)[:, None]).astype(np.int64)
     return levels, coords
 
 
 def candidate_cells_from_points(
     x: np.ndarray, P: np.ndarray, idx: np.ndarray, params: GridParams, j_cap: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cells of the grid around ``x`` containing ≥1 of the points ``P[idx]``.
 
-    Returns (levels (m,), coords (m, d), members) ordered by (level, coords) —
-    the processing order of Algorithm 2 restricted to non-empty cells;
-    ``members[c]`` holds the entries of ``idx`` whose points lie in cell c.
+    Returns (levels (m,), coords (m, d), order (n,), starts (m,)) with the
+    cells ordered by (level, coords) — the processing order of Algorithm 2
+    restricted to non-empty cells. ``order`` holds the entries of ``idx``
+    grouped by cell, in their ``idx`` order within a cell, and cell c's
+    entries are ``order[starts[c]:starts[c + 1]]`` (the last cell's run to
+    the end).
     """
     if len(idx) == 0:
-        return np.zeros(0, np.int64), np.zeros((0, P.shape[1]), np.int64), []
+        empty = np.zeros(0, np.int64)
+        return empty, np.zeros((0, P.shape[1]), np.int64), idx[:0], empty
     levels, coords = snap_points(x, P[idx], params, j_cap)
     keys = np.column_stack([levels, coords])
     order = np.lexsort(keys.T[::-1])  # stable; level first, then coords
     keys = keys[order]
     # A cell starts wherever the sorted (level, coords) key changes.
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    return keys[starts, 0], keys[starts, 1:], np.split(idx[order], starts[1:])
+    return keys[starts, 0], keys[starts, 1:], idx[order], starts
 
 
 def enumerate_cells(

@@ -8,6 +8,7 @@ milliseconds and cross-checked against the Spark results.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ class Engine(ABC):
 
     def weighted_pick(
         self,
-        tuples: pd.DataFrame,
+        tuples: "pd.DataFrame | PickTable",
         key_cols: Sequence[str],
         weight_col: str,
         requests: pd.DataFrame,
@@ -73,37 +74,83 @@ class Engine(ABC):
     ) -> pd.DataFrame:
         """Per-request weighted sampling within a join-key group.
 
-        ``tuples`` is a collected (pandas) count frame and ``requests`` a
-        pandas frame with columns ``key_cols + ['__sid', '__u']`` (``__u``
-        uniform in [0,1)). For each request, among the tuples whose key
-        columns match (all of them if ``key_cols`` is empty), pick one tuple
-        with probability proportional to ``weight_col`` using ``__u``
-        (inverse-CDF). Returns pandas ``['__sid'] + out_cols``. This is the
-        top-down step of uniform sampling over join results (Zhao et al.
-        style).
+        ``tuples`` is a collected (pandas) count frame, or the
+        :class:`PickTable` built from it for the same columns, and
+        ``requests`` a pandas frame with columns ``key_cols + ['__sid',
+        '__u']`` (``__u`` uniform in [0,1)). For each request, among the
+        tuples whose key columns match (all of them if ``key_cols`` is
+        empty), pick one tuple with probability proportional to
+        ``weight_col`` using ``__u`` (inverse-CDF). Returns pandas
+        ``['__sid'] + out_cols``, one row per request whose key group exists,
+        in request order. This is the top-down step of uniform sampling over
+        join results (Zhao et al. style).
 
-        The pick runs on the driver, the same on both engines. Sorting on
-        every used column makes key groups contiguous and the picks
-        independent of row order; one global cumsum serves every group.
+        The pick runs on the driver, the same on both engines.
         """
+        if not isinstance(tuples, PickTable):
+            tuples = PickTable.build(tuples, key_cols, weight_col, out_cols)
+        return tuples.pick(requests)
+
+
+@dataclass(frozen=True)
+class PickTable:
+    """A count frame sorted for :meth:`Engine.weighted_pick`.
+
+    The tuples are sorted on every used column, which makes key groups
+    contiguous and the picks independent of row order; one global cumsum of
+    the weights serves every group. The table depends only on the frame and
+    the columns, so a caller that picks from the same frame repeatedly
+    builds it once (``RelQuery`` does, per relation and query).
+    """
+
+    key_cols: list[str]
+    groups: pd.Index | None  # the key of each group, for the request lookup
+    starts: np.ndarray  # first sorted row of each group
+    ends: np.ndarray  # one past its last row
+    lo: np.ndarray  # cumulative weight before each group
+    hi: np.ndarray  # cumulative weight up to the group's end
+    cum: np.ndarray  # cumulative weight per sorted row
+    out: pd.DataFrame  # the sorted out columns
+
+    @classmethod
+    def build(
+        cls, tuples: pd.DataFrame, key_cols: Sequence[str], weight_col: str,
+        out_cols: Sequence[str],
+    ) -> "PickTable":
         key_cols, out_cols = list(key_cols), list(out_cols)
-        if len(requests) == 0 or len(tuples) == 0:
-            return pd.DataFrame(columns=["__sid", *out_cols])
-        if not key_cols:  # one group
-            key_cols, tuples, requests = ["__one"], tuples.assign(__one=0), requests.assign(__one=0)
         cols = list(dict.fromkeys([*key_cols, *out_cols, weight_col]))
         t = tuples[cols].sort_values(cols, kind="mergesort", ignore_index=True)
-        starts = np.flatnonzero(np.diff(t.groupby(key_cols, sort=False).ngroup(), prepend=-1))
-        ends = np.append(starts[1:], len(t))
+        if key_cols:
+            starts = np.flatnonzero(~t.duplicated(key_cols).to_numpy())  # groups are runs
+        else:
+            starts = np.zeros(min(len(t), 1), dtype=np.int64)
+        keys = t.loc[starts, key_cols]
+        groups = (None if not key_cols else pd.Index(keys.iloc[:, 0]) if len(key_cols) == 1
+                  else pd.MultiIndex.from_frame(keys))
+        ends = np.r_[starts[1:], len(t)][: len(starts)]
         cum = np.cumsum(t[weight_col].to_numpy())
-        groups = t.loc[starts, key_cols].assign(__g=np.arange(len(starts)))
-        reqs = requests[[*key_cols, "__sid", "__u"]].merge(groups, on=key_cols, how="inner")
-        g = reqs["__g"].to_numpy()
-        lo = np.where(starts > 0, cum[starts - 1], 0)[g]
-        target = lo + reqs["__u"].to_numpy(dtype=np.float64) * (cum[ends - 1][g] - lo)
-        idx = np.clip(np.searchsorted(cum, target, side="right"), starts[g], ends[g] - 1)
-        out = t.loc[idx, out_cols].reset_index(drop=True)
-        out.insert(0, "__sid", reqs["__sid"].to_numpy())
+        return cls(
+            key_cols, groups, starts, ends, np.where(starts > 0, cum[starts - 1], 0),
+            cum[ends - 1], cum, t[out_cols],
+        )
+
+    def pick(self, requests: pd.DataFrame) -> pd.DataFrame:
+        """:meth:`Engine.weighted_pick` of ``requests`` from this table."""
+        if len(requests) == 0 or len(self.cum) == 0:
+            return pd.DataFrame(columns=["__sid", *self.out.columns])
+        if self.groups is None:
+            g = np.zeros(len(requests), dtype=np.int64)
+        elif len(self.key_cols) == 1:
+            g = self.groups.get_indexer(requests[self.key_cols[0]])
+        else:
+            g = self.groups.get_indexer(pd.MultiIndex.from_frame(requests[self.key_cols]))
+        found = g >= 0
+        g = g[found]
+        u = requests["__u"].to_numpy(dtype=np.float64)[found]
+        target = self.lo[g] + u * (self.hi[g] - self.lo[g])
+        idx = np.clip(np.searchsorted(self.cum, target, side="right"), self.starts[g], self.ends[g] - 1)
+        out = self.out.iloc[idx].reset_index(drop=True)
+        out.insert(0, "__sid", requests["__sid"].to_numpy()[found])
         return out
 
 

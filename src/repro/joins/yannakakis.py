@@ -36,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import pandas as pd
 
-from repro.joins.engine import Engine
+from repro.joins.engine import Engine, PickTable
 from repro.joins.join_tree import JoinTree
 
 CNT = "__cnt"
@@ -150,6 +150,7 @@ def sample_join(
     attrs: Sequence[str] | None = None,
     carry: Mapping[str, Sequence[str]] | None = None,
     groups: pd.DataFrame | None = None,
+    tables: dict | None = None,
 ) -> pd.DataFrame:
     """z uniform (with replacement) samples from q(D), never materializing it.
 
@@ -157,7 +158,9 @@ def sample_join(
     ``multiplicities``, proportional to them within each key group); they
     weight one ``engine.weighted_pick`` at the root and one per tree edge.
     Each pick orders its tuples by their values, not by the engine's column
-    or row order, so the pool depends only on ``rng``.
+    or row order, so the pool depends only on ``rng``. ``tables`` keeps the
+    sorted :class:`PickTable` of each pick across calls over the same
+    ``counts`` (the caller owns it; filled on first use).
 
     With ``carry`` (and ``counts`` from ``subtree_counts`` with that carry),
     sample i is uniform over the join results whose carried columns equal row
@@ -165,13 +168,27 @@ def sample_join(
     the carried columns below it. Without, the root pick is one group.
     """
     carry = carry or {}
+    tables = {} if tables is None else tables
+
+    def pick(rel: str, key_cols: list[str], reqs: pd.DataFrame, out_cols: list[str]):
+        spec = (rel, tuple(key_cols), tuple(out_cols))
+        if spec not in tables:
+            tables[spec] = PickTable.build(counts[rel], key_cols, CNT, out_cols)
+        return engine.weighted_pick(tables[spec], key_cols, CNT, reqs, out_cols)
+
+    def attach(cur: pd.DataFrame, picked: pd.DataFrame) -> pd.DataFrame:
+        # A pick answers the requests whose key group exists, in request
+        # (= __sid) order, so the answered rows align by position.
+        if len(picked) < len(cur):
+            cur = cur[np.isin(cur["__sid"].to_numpy(), picked["__sid"].to_numpy())]
+        return pd.concat([cur.reset_index(drop=True), picked.drop(columns="__sid")], axis=1)
+
     root = tree.root
     keys = _carried(tree, carry, root)
     reqs = pd.DataFrame(index=range(z)) if groups is None else groups[keys].reset_index(drop=True)
     reqs["__sid"] = np.arange(len(reqs), dtype=np.int64)
     reqs["__u"] = rng.random(len(reqs))
-    picked = engine.weighted_pick(counts[root], keys, CNT, reqs, tree.relations[root].attrs)
-    cur = reqs.drop(columns="__u").merge(picked, on="__sid")
+    cur = attach(reqs.drop(columns="__u"), pick(root, keys, reqs, list(tree.relations[root].attrs)))
 
     def descend(node: str, cur: pd.DataFrame) -> pd.DataFrame:
         for c in tree.children[node]:
@@ -179,12 +196,10 @@ def sample_join(
             reqs = cur[[*jk, "__sid"]].copy()
             reqs["__u"] = rng.random(len(reqs))
             new_cols = [x for x in tree.relations[c].attrs if x not in cur.columns]
-            picked = engine.weighted_pick(counts[c], jk, CNT, reqs, new_cols)
-            cur = cur.merge(picked, on="__sid", how="inner")
-            cur = descend(c, cur)
+            cur = descend(c, attach(cur, pick(c, jk, reqs, new_cols)))
         return cur
 
-    cur = descend(root, cur).sort_values("__sid").reset_index(drop=True)
+    cur = descend(root, cur)
     keep = list(attrs) if attrs is not None else [c for c in cur.columns if c != "__sid"]
     return cur[keep]
 
@@ -215,6 +230,7 @@ class RelQuery:
         self.dfs = {n: engine.cache(df) for n, df in reduced.items()}
         self._n: int | None = None
         self._mult: dict[str, pd.DataFrame] | None = None
+        self._picks: dict = {}
 
     def close(self) -> None:
         """Unpersist the reduced frames and drop the kept multiplicities; a
@@ -222,6 +238,7 @@ class RelQuery:
         for df in self.dfs.values():
             self.engine.unpersist(df)
         self._mult = None
+        self._picks = {}
 
     def __enter__(self) -> "RelQuery":
         return self
@@ -288,9 +305,11 @@ class RelQuery:
     def sample(self, z: int, rng: np.random.Generator,
                attrs: Sequence[str] | None = None) -> pd.DataFrame:
         """z uniform samples of q(D) projected to ``attrs`` (default: features),
-        weighted by the :meth:`multiplicities` frames."""
+        weighted by the :meth:`multiplicities` frames, whose sorted pick
+        tables are built on the first call and kept."""
         attrs = list(attrs) if attrs is not None else list(self.tree.all_features)
-        return sample_join(self.engine, self.tree, self.multiplicities(), z, rng, attrs)
+        return sample_join(self.engine, self.tree, self.multiplicities(), z, rng, attrs,
+                           tables=self._picks)
 
     # -- baseline/evaluation only -----------------------------------------
     def materialize(self, attrs: Sequence[str] | None = None):

@@ -1,6 +1,8 @@
 """Standard-setting clustering black boxes (GkMedianAlg / GkMeansAlg / discrete)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import cluster
 from repro.clustering.cost import assign, weighted_cost
@@ -216,3 +218,57 @@ class TestMedoids:
             tracemalloc.stop()
         assert len(S) == 1
         assert peak < 40 * 2**20, peak
+
+
+def reference_cluster(P, w, k, objective, rng, n_init=3, tol=1e-7):
+    """``cluster``'s loop with two distance passes per step (assign, then
+    price the new centers), a final re-pricing and ``np.unique`` merging:
+    the loop ``cluster`` runs with one pass per step."""
+    P, inv = np.unique(P, axis=0, return_inverse=True)
+    wu = np.zeros(len(P))
+    np.add.at(wu, inv.ravel(), w)
+    w = wu
+    if len(P) <= k:
+        return P, 0.0
+    update = lloyd._UPDATE[objective]
+    best_c, best_cost = None, np.inf
+    for _ in range(n_init):
+        C = pp_init(P, w, k, rng, power=lloyd._POWER[objective])
+        prev = np.inf
+        for _ in range(lloyd._N_ITER[objective]):
+            lab = assign(P, C)
+            newC = []
+            for i in range(len(C)):
+                m = lab == i
+                newC.append(update(P[m], w[m]) if m.any() else P[rng.choice(len(P), p=w / w.sum())])
+            C = np.asarray(newC)
+            cost = weighted_cost(P, C, w, objective)
+            if prev - cost <= tol * max(prev, 1.0):
+                break
+            prev = cost
+        cost = weighted_cost(P, C, w, objective)
+        if cost < best_cost:
+            best_c, best_cost = C, cost
+    return best_c, float(best_cost)
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.integers(1, 3),
+        n=st.integers(1, 300),
+        k=st.integers(1, 6),
+        dup=st.booleans(),
+        objective=st.sampled_from(["median", "means"]),
+    )
+    def test_bit_identical(self, seed, d, n, k, dup, objective):
+        """Same centers and cost as two distance passes per step, with
+        duplicate points merged."""
+        g = np.random.default_rng(seed)
+        P = g.normal(scale=4.0, size=(n, d)).round(0 if dup else 12)
+        w = g.integers(1, 9, n).astype(np.float64)
+        got = cluster(P, w, k, objective, rng=np.random.default_rng(seed))
+        want = reference_cluster(P, w, k, objective, np.random.default_rng(seed))
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]

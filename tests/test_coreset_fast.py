@@ -1,14 +1,18 @@
 """Algorithm 2 (RelClusteringFast): coreset quality and mechanics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering.cost import weighted_cost
 from repro.core.coreset_fast import (
+    TAU,
     Coreset,
     build_coreset_fast,
     cluster_coreset,
     phi_scale,
 )
+from repro.geometry.grid import GridParams, candidate_cells_from_points, cell_corners, condition3
 
 
 def planted_pool(seed=0, n=4000, k=3, d=2, sep=5.0, sigma=0.3):
@@ -147,3 +151,79 @@ class TestRelClusteringFast:
         c = Coreset(np.zeros((2, 1)), np.array([1.0, 2.0]))
         assert len(c) == 2
         assert c.total_weight == 3.0
+
+
+def reference_build_coreset_fast(pool, n_total, X, alpha, r, eps_prime, objective):
+    """Algorithm 2's grid pass one cell at a time, in processing order (the
+    loop ``build_coreset_fast`` replaces with per-center array work)."""
+    pool = np.atleast_2d(np.asarray(pool, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    params = GridParams(phi_scale(r, alpha, n_total, objective), eps_prime, alpha, pool.shape[1])
+    j_cap = params.max_level(n_total)
+    claimed = np.zeros(len(pool), dtype=bool)
+    reps, wts = [], []
+    n_cells = n_light = n_skipped = 0
+    per_point_w = n_total / max(len(pool), 1)
+    for i in range(len(X)):
+        levels, coords, order, starts = candidate_cells_from_points(
+            X[i], pool, np.arange(len(pool)), params, j_cap
+        )
+        members = np.split(order, starts[1:]) if len(starts) else []
+        ok = condition3(X, i, *cell_corners(X[i], levels, coords, params))
+        n_cells += len(members)
+        n_skipped += int((~ok).sum())
+        for m, keep in zip(members, ok):
+            if not keep:
+                continue
+            un = m[~claimed[m]]
+            g = len(un)
+            if g >= 1 and g / len(m) >= 2 * TAU:
+                reps.append(un[0])
+                wts.append(g * per_point_w)
+                claimed[un] = True
+            else:
+                n_light += 1
+    unclaimed = np.flatnonzero(~claimed)
+    info = {
+        "n_cells": n_cells,
+        "n_heavy": len(reps),
+        "n_light": n_light,
+        "n_skipped_cond3": n_skipped,
+        "unclaimed_frac": len(unclaimed) / max(len(pool), 1),
+        "phi": params.phi,
+        "j_cap": j_cap,
+    }
+    return Coreset(
+        pool[np.r_[np.asarray(reps, dtype=np.int64), unclaimed]],
+        np.r_[np.asarray(wts, dtype=np.float64), np.full(len(unclaimed), per_point_w)],
+        info,
+    )
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.integers(1, 3),
+        size=st.integers(0, 400),
+        m=st.integers(1, 10),
+        dup=st.booleans(),
+        objective=st.sampled_from(["median", "means"]),
+        eps=st.sampled_from([0.1, 0.5, 1.0]),
+        r_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_bit_identical(self, seed, d, size, m, dup, objective, eps, r_scale):
+        """Points, weights and info equal the per-cell loop's exactly, with
+        duplicate pool points, 1–10 centers and empty pools."""
+        g = np.random.default_rng(seed)
+        pool = g.normal(scale=3.0, size=(size, d)).round(1 if dup else 12)
+        if dup and size:
+            pool = pool[g.integers(0, size, size)]
+        X = g.normal(scale=3.0, size=(m, d))
+        n = 50 * max(size, 1)
+        r = r_scale * max(weighted_cost(pool, X, None, objective), 1e-9) if size else r_scale
+        got = build_coreset_fast(pool, n, X, 2.0, r, eps, objective)
+        want = reference_build_coreset_fast(pool, n, X, 2.0, r, eps, objective)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.info == want.info

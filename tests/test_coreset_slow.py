@@ -2,7 +2,7 @@
 (and one Spark parity check)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.cost import weighted_cost
@@ -172,6 +172,37 @@ class TestClaimWeights:
         assert np.array_equal(w, first_box_weights(P, los, his))
         assert n_elementary <= len(np.unique(P, axis=0))
         assert_representatives(P, pts, w, los, his)
+        # Any cut into runs of consecutive boxes; a run that is not one
+        # grid is claimed box by box.
+        cuts = data.draw(st.lists(st.integers(1, max(len(los), 1)), max_size=4), label="cuts")
+        runs = np.array(sorted({0, *cuts}), dtype=np.int64)
+        w_runs, _, _ = claim_weights(Q, feats, los, his, np.random.default_rng(seed), runs)
+        assert np.array_equal(w_runs, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_grid_runs_match_first_box_brute_force(self, data):
+        """Algorithm 1's own cells, claimed one (center, level) grid at a
+        time, d ∈ {1, 2, 3} and 1–6 centers (duplicates included)."""
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        tree, tables = random_instance(
+            seed, n=data.draw(st.integers(5, 40)), n_keys=data.draw(st.integers(1, 5))
+        )
+        joined = brute_force_join(tree, tables)
+        assume(len(joined) > 0)
+        Q = RelQuery(LocalEngine(), tree, tables)
+        d = data.draw(st.integers(1, 3), label="d")
+        feats = data.draw(st.permutations(["fa", "fb", "fc"]), label="feats")[:d]
+        P = joined[feats].to_numpy(dtype=np.float64)
+        X = P[np.random.default_rng(seed).integers(0, len(P), data.draw(st.integers(1, 6)))]
+        r = weighted_cost(P, X, None, "median")
+        eps = data.draw(st.sampled_from([0.3, 0.8]), label="eps")
+        params = GridParams(phi_scale(r, 2.0, len(P), "median"), eps, 2.0, d, c_g=0.5)
+        bbox = Box(tuple(P.min(axis=0) - 1e-9), tuple(P.max(axis=0) + 1e-9))
+        los, his, _, runs = processed_cells(X, params, bbox, params.max_level(len(P)), 200_000)
+        w, pts, _ = claim_weights(Q, feats, los, his, np.random.default_rng(seed), runs)
+        assert np.array_equal(w, first_box_weights(P, los, his))
+        assert_representatives(P, pts, w, los, his)
 
     def test_representatives_in_own_cell(self, inst):
         """On Algorithm 1's own cells: each representative lies in □ \\ G."""
@@ -180,8 +211,8 @@ class TestClaimWeights:
         X, r, P = setup_X(Q, joined, feats, seed=1)
         params = GridParams(phi_scale(r, 2.0, len(P), "median"), 0.8, 2.0, 2, c_g=0.5)
         bbox = Box(tuple(P.min(axis=0) - 1e-9), tuple(P.max(axis=0) + 1e-9))
-        los, his, _ = processed_cells(X, params, bbox, params.max_level(len(P)), 4000)
-        w, pts, _ = claim_weights(Q, feats, los, his, np.random.default_rng(0))
+        los, his, _, runs = processed_cells(X, params, bbox, params.max_level(len(P)), 4000)
+        w, pts, _ = claim_weights(Q, feats, los, his, np.random.default_rng(0), runs)
         assert w.sum() == len(P)
         assert np.array_equal(w, first_box_weights(P, los, his))
         assert_representatives(P, pts, w, los, his)
@@ -213,6 +244,50 @@ class TestClaimWeights:
         assert len(dps) == 1
         assert C.info["n_processed"] > len(Q.tree.relations) + 1
         assert len(collects) == len(Q.tree.relations)  # each count frame, once
+
+
+def brute_first_boxes(E, A, B):
+    """Brute force: the least b with A[b] ≤ E < B[b] in every feature."""
+    owner = np.full(len(E), -1)
+    for b in range(len(A)):
+        inside = ((E >= A[b]) & (E < B[b])).all(axis=1) & (owner < 0)
+        owner[inside] = b
+    return owner
+
+
+class TestFirstBoxes:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        """Runs of grid-like boxes, whose neighbouring columns may overlap
+        (as float cell edges do by an ulp), and runs of arbitrary boxes,
+        which are claimed box by box, in integer interval ids, d ∈ {1, 2, 3}."""
+        g = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+        d = data.draw(st.integers(1, 3), label="d")
+        A, B, runs = [], [], []
+        for _ in range(data.draw(st.integers(0, 5), label="runs")):
+            runs.append(len(A))
+            n_box = data.draw(st.integers(1, 12))
+            if data.draw(st.booleans(), label="grid"):
+                # Columns c: [s_c, e_c) with s strictly increasing and
+                # e_c ≤ s_{c+2}, so only neighbours overlap.
+                cols = []
+                for _ in range(d):
+                    s = np.cumsum(g.integers(1, 4, 6)) + g.integers(0, 5)
+                    e = np.minimum(s + g.integers(1, 4, 6), np.r_[s[2:], s[-1] + 9, s[-1] + 9])
+                    cols.append((s, np.maximum(e, s + 1)))
+                pick = g.integers(0, 6, (n_box, d))
+                A += [[cols[t][0][c] for t, c in enumerate(row)] for row in pick]
+                B += [[cols[t][1][c] for t, c in enumerate(row)] for row in pick]
+            else:
+                lo = g.integers(0, 20, (n_box, d))
+                A += lo.tolist()
+                B += (lo + g.integers(0, 8, (n_box, d))).tolist()
+        A = np.array(A, dtype=np.int64).reshape(-1, d)
+        B = np.array(B, dtype=np.int64).reshape(-1, d)
+        E = g.integers(0, 30, (data.draw(st.integers(0, 200)), d))
+        got = coreset_slow._first_boxes(E, A, B, np.array(runs, dtype=np.int64))
+        assert np.array_equal(got, brute_first_boxes(E, A, B))
 
 
 class TestSparkParity:

@@ -19,6 +19,11 @@ def params(phi=0.1, eps=0.5, alpha=3.0, d=2, c_g=2.0):
     return GridParams(phi=phi, eps_prime=eps, alpha=alpha, d=d, c_g=c_g)
 
 
+def members_of(order, starts):
+    """Per-cell member arrays from ``candidate_cells_from_points``' runs."""
+    return np.split(order, starts[1:]) if len(starts) else []
+
+
 class TestGridParams:
     def test_cell_side_doubles_per_level(self):
         p = params()
@@ -71,6 +76,23 @@ class TestSnapping:
         inside = ((los <= P) & (P < his)).all(axis=1)  # half-open membership
         assert inside.all(), P[~inside]
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 3), phi=st.sampled_from([1e-4, 0.05, 3.0]))
+    def test_matches_per_level_loop(self, seed, d, phi):
+        """One vectorized snap equals snapping level by level with scalar
+        sides and anchors, bit for bit."""
+        g = np.random.default_rng(seed)
+        p = params(phi=phi, d=d)
+        x = g.normal(size=d)
+        P = x + g.normal(scale=2.0, size=(200, d)) * g.random((200, 1)) ** 4
+        levels, coords = snap_points(x, P, p, j_cap=12)
+        want = np.empty_like(coords)
+        for j in np.unique(levels):
+            m = levels == j
+            anchor = x - p.half_extent(int(j))
+            want[m] = np.floor((P[m] - anchor[None, :]) / p.cell_side(int(j))).astype(np.int64)
+        assert np.array_equal(coords, want)
+
     def test_j_cap_respected(self):
         p = params(phi=1e-6)
         x = np.zeros(2)
@@ -84,14 +106,14 @@ class TestSnapping:
         x = np.zeros(2)
         P = g.normal(size=(200, 2))
         idx = np.arange(len(P))
-        _, _, members = candidate_cells_from_points(x, P, idx, p, j_cap=40)
-        seen = np.concatenate(members)
+        _, _, order, starts = candidate_cells_from_points(x, P, idx, p, j_cap=40)
+        seen = np.concatenate(members_of(order, starts))
         assert sorted(seen.tolist()) == idx.tolist()  # every point in exactly one cell
 
     def test_candidate_cells_sorted_by_level(self):
         g = np.random.default_rng(8)
         p = params(phi=0.05, d=2)
-        levels, _, _ = candidate_cells_from_points(
+        levels, _, _, _ = candidate_cells_from_points(
             np.zeros(2), g.normal(size=(100, 2)), np.arange(100), p, j_cap=40
         )
         assert levels.tolist() == sorted(levels.tolist())
@@ -110,7 +132,8 @@ class TestSnapping:
         for i, j, cc in zip(idx, levels, coords):
             groups.setdefault((int(j), tuple(int(c) for c in cc)), []).append(int(i))
         expect = [(j, cc, groups[(j, cc)]) for j, cc in sorted(groups)]
-        levels, coords, members = candidate_cells_from_points(x, P, idx, p, j_cap=6)
+        levels, coords, order, starts = candidate_cells_from_points(x, P, idx, p, j_cap=6)
+        members = members_of(order, starts)
         got = [
             (int(j), tuple(cc.tolist()), m.tolist())
             for j, cc, m in zip(levels, coords, members)
@@ -120,10 +143,11 @@ class TestSnapping:
         assert all(m.dtype == idx.dtype for m in members)
 
     def test_empty_index(self):
-        levels, coords, members = candidate_cells_from_points(
+        levels, coords, order, starts = candidate_cells_from_points(
             np.zeros(2), np.zeros((0, 2)), np.arange(0), params(), 10
         )
-        assert levels.shape == (0,) and coords.shape == (0, 2) and members == []
+        assert levels.shape == (0,) and coords.shape == (0, 2) and members_of(order, starts) == []
+        assert order.shape == (0,) and starts.shape == (0,)
 
 
 class TestEnumeration:

@@ -3,9 +3,19 @@ and carried samples, and the driver-side weighted pick (local engine)."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.joins.engine import LocalEngine
-from repro.joins.yannakakis import RelQuery, collected, sample_join, subtree_counts, total_count
+from repro.joins.engine import LocalEngine, PickTable
+from repro.joins.yannakakis import (
+    CNT,
+    RelQuery,
+    _carried,
+    collected,
+    sample_join,
+    subtree_counts,
+    total_count,
+)
 from tests.conftest import brute_box_counts, brute_force_join, dp_box_counts, label_box
 from tests.test_yannakakis_local import random_instance
 
@@ -261,3 +271,115 @@ class TestWeightedPickEngineOp:
                 expect.append((sid, grp["v"].iloc[i]))
         got = eng.weighted_pick(tuples.sample(frac=1, random_state=1), ["k"], "w", reqs, ["v"])
         assert list(zip(got["__sid"], got["v"])) == expect
+
+
+def reference_weighted_pick(tuples, key_cols, weight_col, requests, out_cols):
+    """The pick as one pandas sort, ``ngroup`` and merge per call (what the
+    per-query ``PickTable`` replaces)."""
+    key_cols, out_cols = list(key_cols), list(out_cols)
+    if len(requests) == 0 or len(tuples) == 0:
+        return pd.DataFrame(columns=["__sid", *out_cols])
+    if not key_cols:  # one group
+        key_cols, tuples, requests = ["__one"], tuples.assign(__one=0), requests.assign(__one=0)
+    cols = list(dict.fromkeys([*key_cols, *out_cols, weight_col]))
+    t = tuples[cols].sort_values(cols, kind="mergesort", ignore_index=True)
+    starts = np.flatnonzero(np.diff(t.groupby(key_cols, sort=False).ngroup(), prepend=-1))
+    ends = np.append(starts[1:], len(t))
+    cum = np.cumsum(t[weight_col].to_numpy())
+    groups = t.loc[starts, key_cols].assign(__g=np.arange(len(starts)))
+    reqs = requests[[*key_cols, "__sid", "__u"]].merge(groups, on=key_cols, how="inner")
+    g = reqs["__g"].to_numpy()
+    lo = np.where(starts > 0, cum[starts - 1], 0)[g]
+    target = lo + reqs["__u"].to_numpy(dtype=np.float64) * (cum[ends - 1][g] - lo)
+    idx = np.clip(np.searchsorted(cum, target, side="right"), starts[g], ends[g] - 1)
+    out = t.loc[idx, out_cols].reset_index(drop=True)
+    out.insert(0, "__sid", reqs["__sid"].to_numpy())
+    return out
+
+
+def reference_sample_join(tree, counts, z, rng, attrs=None, carry=None, groups=None):
+    """The sampler as a chain of merges on ``__sid`` over
+    ``reference_weighted_pick``."""
+    carry = carry or {}
+    keys = _carried(tree, carry, tree.root)
+    reqs = pd.DataFrame(index=range(z)) if groups is None else groups[keys].reset_index(drop=True)
+    reqs["__sid"] = np.arange(len(reqs), dtype=np.int64)
+    reqs["__u"] = rng.random(len(reqs))
+    picked = reference_weighted_pick(
+        counts[tree.root], keys, CNT, reqs, tree.relations[tree.root].attrs
+    )
+    cur = reqs.drop(columns="__u").merge(picked, on="__sid")
+
+    def descend(node, cur):
+        for c in tree.children[node]:
+            jk = [*tree.join_attrs(c, node), *_carried(tree, carry, c)]
+            reqs = cur[[*jk, "__sid"]].copy()
+            reqs["__u"] = rng.random(len(reqs))
+            new_cols = [x for x in tree.relations[c].attrs if x not in cur.columns]
+            cur = cur.merge(reference_weighted_pick(counts[c], jk, CNT, reqs, new_cols), on="__sid")
+            cur = descend(c, cur)
+        return cur
+
+    cur = descend(tree.root, cur).sort_values("__sid").reset_index(drop=True)
+    keep = list(attrs) if attrs is not None else [c for c in cur.columns if c != "__sid"]
+    return cur[keep]
+
+
+class TestMatchesReferencePick:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_keys=st.integers(0, 2),
+        n_tuples=st.integers(0, 60),
+        n_reqs=st.integers(0, 80),
+        dup=st.booleans(),
+    )
+    def test_pick_equals_reference(self, eng, seed, n_keys, n_tuples, n_reqs, dup):
+        """Same frame as the per-call pandas pick, for 0–2 key columns,
+        duplicate rows, unmatched keys and empty tuples or requests; a
+        prebuilt table gives it again."""
+        g = np.random.default_rng(seed)
+        keys = [f"k{i}" for i in range(n_keys)]
+        tuples = pd.DataFrame({k: g.integers(0, 4, n_tuples) for k in keys})
+        tuples["v"] = g.random(n_tuples).round(1)
+        tuples["w"] = g.integers(1, 20, n_tuples)
+        if dup and n_tuples:
+            tuples = tuples.iloc[g.integers(0, n_tuples, n_tuples)].reset_index(drop=True)
+        reqs = pd.DataFrame({k: g.integers(0, 5, n_reqs) for k in keys})
+        reqs["__sid"] = np.arange(n_reqs, dtype=np.int64)
+        reqs["__u"] = g.random(n_reqs)
+        want = reference_weighted_pick(tuples, keys, "w", reqs, ["v"])
+        pd.testing.assert_frame_equal(eng.weighted_pick(tuples, keys, "w", reqs, ["v"]), want)
+        table = PickTable.build(tuples, keys, "w", ["v"])
+        for _ in range(2):
+            pd.testing.assert_frame_equal(eng.weighted_pick(table, keys, "w", reqs, ["v"]), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), z=st.integers(0, 300), carried=st.booleans())
+    def test_pool_equals_reference(self, eng, seed, z, carried):
+        """Same pool as the merge-based sampler, with and without carried
+        keys (some requesting a cell with no join result); a query's kept
+        pick tables give it again on a second call."""
+        tree, tables = random_instance(seed, n=40, n_keys=5)
+        Q = RelQuery(eng, tree, tables)
+        if not carried:
+            want = reference_sample_join(tree, Q.multiplicities(), z, np.random.default_rng(seed))
+            for _ in range(2):
+                got = Q.sample(z, np.random.default_rng(seed), attrs=list(want.columns))
+                pd.testing.assert_frame_equal(got, want)
+            return
+        box = random_box(seed, dims=("fa", "fc"))
+        dfs, carry = label_box(Q, box)
+        counts = collected(eng, subtree_counts(eng, tree, dfs, carry))
+        ivs = [f"__iv_{a}" for a in box]
+        cells = counts[tree.root].groupby(ivs, as_index=False)[CNT].sum()
+        groups = cells.iloc[np.random.default_rng(seed).integers(0, max(len(cells), 1), z)]
+        groups = groups[ivs] if len(cells) else cells[ivs]
+        # Interval id 7 is in no cell: those requests get no sample.
+        groups = groups.where(np.random.default_rng(seed).random(groups.shape) > 0.1, 7)
+        want = reference_sample_join(
+            tree, counts, len(groups), np.random.default_rng(seed), None, carry, groups
+        )
+        got = sample_join(eng, tree, counts, len(groups), np.random.default_rng(seed), None,
+                          carry, groups)
+        pd.testing.assert_frame_equal(got, want)
