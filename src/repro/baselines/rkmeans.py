@@ -6,11 +6,12 @@ coreset is the cross product of the per-relation center sets (≤ k^m points in
 the full feature space); the weight of a grid point is the number of join
 results whose per-relation projections are assigned to that center
 combination. Each tuple's assigned-center id is computed on the driver
-(``RelQuery.labelled``), and the weights are computed **relationally** by the
-one counting DP, ``subtree_counts`` with those id columns as ``carry``,
-grouped by those ids at the root (``grouped_counts``) — no join
-materialization. A standard weighted k-means on the grid gives the final
-centers, with the paper-reported γ² + 4γ√γ + 4γ approximation factor.
+(``RelQuery.labelled``); the labelled relations are lifted to the query's
+engine, and the weights are computed **relationally** there by the one
+counting DP, ``subtree_counts`` with those id columns as ``carry``, grouped
+by those ids at the root (``grouped_counts``) — no join materialization. A
+standard weighted k-means on the grid gives the final centers, with the
+paper-reported γ² + 4γ√γ + 4γ approximation factor.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ from repro.clustering.cost import assign
 from repro.core.coreset_fast import Coreset
 from repro.joins.yannakakis import CNT, RelQuery, grouped_counts
 
+# Most reduced tuples per relation that its k-means sees (a uniform subset).
+PER_RELATION_SAMPLE = 100_000
+
 
 def rkmeans(
     Q: RelQuery,
@@ -30,7 +34,6 @@ def rkmeans(
     objective: str = "means",
     *,
     seed: int = 0,
-    per_relation_sample: int = 100_000,
 ) -> tuple[np.ndarray, Coreset, dict]:
     """Rk-means grid-coreset clustering. Returns (centers, grid coreset, timings).
 
@@ -47,14 +50,15 @@ def rkmeans(
             continue
         fs = list(rel.features)
         P = Q.multiplicities()[name][fs].to_numpy(dtype=np.float64)
-        if len(P) > per_relation_sample:
-            P = P[rng.choice(len(P), per_relation_sample, replace=False)]
+        if len(P) > PER_RELATION_SAMPLE:
+            P = P[rng.choice(len(P), PER_RELATION_SAMPLE, replace=False)]
         C, _ = cluster(P, None, k, objective, rng=rng)
         C = rel_centers[name] = np.atleast_2d(C)
         labels[name] = {
             f"__cid_{name}": lambda t, C=C, fs=fs: assign(t[fs].to_numpy(dtype=np.float64), C)
         }
     dfs, carry = Q.labelled(labels)
+    dfs = {name: Q.engine.from_pandas(df) for name, df in dfs.items()}
     t_assign = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -7,13 +7,13 @@ center (not just sampled ones) and keeps those that pass condition (3)
 w(□) = |q_u(D) ∩ (□ \\ G)|, G being the union of the cells before it. Per
 feature, the sorted cell edges cut the line into elementary intervals, and
 one carried counting DP over the interval ids (``subtree_counts``, as for
-the Rk-means grid weights) counts every non-empty elementary cell: its
-count frames are collected once per relation, and the cells are a pandas
-group-by of the root frame. Each elementary cell belongs to the first kept
-cell containing it, and one carried ``sample_join`` over the same collected
-frames draws a real join result in □ \\ G as □'s representative. The grid
-is exponential in d_u by nature, but a node costs one counting DP and one
-collect per relation.
+the Rk-means grid weights) counts every non-empty elementary cell; the
+cells are a pandas group-by of its root frame. Each elementary cell belongs
+to the first kept cell containing it, and one carried ``sample_join`` over
+the same count frames draws a real join result in □ \\ G as □'s
+representative. The DP and the sampler run on the driver over the query's
+labelled reduced relations, so a node runs no engine job. The grid is
+exponential in d_u by nature, but a node costs one counting DP.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.coreset_fast import Coreset, phi_scale
 from repro.geometry.boxes import Box, dist_point_box
 from repro.geometry.grid import GridParams, condition3, enumerate_cells
-from repro.joins.yannakakis import CNT, RelQuery, collected, sample_join, subtree_counts
+from repro.joins.yannakakis import CNT, DRIVER, RelQuery, sample_join, subtree_counts
 
 
 def build_coreset_slow(
@@ -124,7 +124,7 @@ def claim_weights(
     ``_first_boxes`` claims at once; by default every box is its own run.
     Any cut gives the same weights.
     """
-    eng, tree = Q.engine, Q.tree
+    tree = Q.tree
     edges = [np.unique(np.r_[los[:, t], his[:, t]]) for t in range(len(features_u))]
     ivs = [f"__iv_{f}" for f in features_u]
     labels: dict[str, dict] = {}
@@ -134,7 +134,7 @@ def claim_weights(
             lambda t, f=f, e=e: np.searchsorted(e, t[f].to_numpy(np.float64), side="right") - 1
         )
     dfs, carry = Q.labelled(labels)
-    counts = collected(eng, subtree_counts(eng, tree, dfs, carry))
+    counts = subtree_counts(DRIVER, tree, dfs, carry)
     cells = counts[tree.root].groupby(ivs, as_index=False)[CNT].sum()  # sorted by ivs
     E = cells[ivs].to_numpy(dtype=np.int64)
     cnt = cells[CNT].to_numpy(dtype=np.int64)
@@ -146,7 +146,7 @@ def claim_weights(
     w = np.zeros(len(los), dtype=np.int64)
     np.add.at(w, owner[own], cnt[own])
     rep = np.flatnonzero(own)[_representatives(E[own], cnt[own], owner[own], edges)]
-    pts = sample_join(eng, tree, counts, len(rep), rng, features_u, carry, cells.loc[rep, ivs])
+    pts = sample_join(Q.engine, tree, counts, len(rep), rng, features_u, carry, cells.loc[rep, ivs])
     return w, pts.to_numpy(dtype=np.float64), len(cells)
 
 

@@ -3,7 +3,7 @@
 A balanced binary tree over the feature attributes. At a leaf (one attribute
 A_u), the weighted 1-D projection H_u = π_{A_u}(q(D)) with multiplicity
 weights is computed *exactly* — one pandas group-by over the query's up–down
-multiplicity frames, collected once per query and kept by ``RelQuery``,
+multiplicity frames, computed once per query and kept by ``RelQuery``,
 which also weight the sample pool — and clustered directly (the cost
 v_S(H_u) is exact, so r_u needs no inflation). At an inner node u with
 children v, z: X = S_v × S_z (≤ k² candidates), r = r_v + r_z, and

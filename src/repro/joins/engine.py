@@ -1,9 +1,12 @@
 """Engine abstraction: the same relational dynamic programs on Spark or pandas.
 
 Every algorithm in :mod:`repro.joins` is written once against this small
-protocol. ``SparkEngine`` is the production path (DataFrame API / Catalyst);
-``LocalEngine`` mirrors it on pandas so the DP *logic* can be unit-tested in
-milliseconds and cross-checked against the Spark results.
+protocol. ``SparkEngine`` is the production path (DataFrame API / Catalyst)
+for the work that is input- or join-sized: projection, the semi-join
+reduction, GHD bags, ``RelQuery.materialize`` and the Rk-means baseline's
+carried DP. ``LocalEngine`` runs the same operations on pandas: the driver
+runs every other counting DP on it, over a query's collected reduced
+relations, and tests use it for in-memory queries.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ class Engine(ABC):
     """Minimal relational operations needed by the Yannakakis-style DPs."""
 
     @abstractmethod
-    def project(self, df, cols: Sequence[str], distinct: bool = False):
-        """SELECT cols [DISTINCT]."""
+    def project(self, df, cols: Sequence[str]):
+        """SELECT cols (a multiset: duplicate rows stay)."""
 
     @abstractmethod
     def join(self, a, b, on: Sequence[str], how: str = "inner"):
@@ -50,11 +53,6 @@ class Engine(ABC):
     @abstractmethod
     def from_pandas(self, pdf: pd.DataFrame):
         """Create an engine-native frame from pandas."""
-
-    @abstractmethod
-    def sum_col(self, df, col: str) -> int:
-        """SUM(col) of an integer column as an exact Python int (0 for an
-        empty frame)."""
 
     @abstractmethod
     def cache(self, df):
@@ -155,11 +153,10 @@ class PickTable:
 
 
 class LocalEngine(Engine):
-    """pandas implementation — for fast unit tests and Spark cross-checks."""
+    """pandas implementation — the driver's DPs and in-memory queries."""
 
-    def project(self, df, cols, distinct=False):
-        out = df[list(cols)]
-        return out.drop_duplicates().reset_index(drop=True) if distinct else out.copy()
+    def project(self, df, cols):
+        return df[list(cols)].copy()
 
     def join(self, a, b, on, how="inner"):
         return a.merge(b, on=list(on), how=how)
@@ -191,9 +188,6 @@ class LocalEngine(Engine):
     def from_pandas(self, pdf):
         return pdf.copy()
 
-    def sum_col(self, df, col):
-        return int(df[col].sum()) if len(df) else 0
-
     def cache(self, df):
         return df
 
@@ -207,9 +201,8 @@ class SparkEngine(Engine):
     def __init__(self, spark):
         self.spark = spark
 
-    def project(self, df, cols, distinct=False):
-        out = df.select(*cols)
-        return out.distinct() if distinct else out
+    def project(self, df, cols):
+        return df.select(*cols)
 
     def join(self, a, b, on, how="inner"):
         return a.join(b, on=list(on), how=how)
@@ -238,12 +231,6 @@ class SparkEngine(Engine):
 
     def from_pandas(self, pdf):
         return self.spark.createDataFrame(pdf)
-
-    def sum_col(self, df, col):
-        from pyspark.sql import functions as F
-
-        row = df.agg(F.sum(col).alias("s")).collect()[0]
-        return int(row["s"]) if row["s"] is not None else 0
 
     def cache(self, df):
         return df.cache()

@@ -1,9 +1,11 @@
 """Cyclic queries via Generalized Hypertree Decompositions (Section 4.2 / App. E).
 
 A cyclic join query is converted to an equivalent acyclic one by materializing
-each GHD bag — the join of the bag's relations, projected (DISTINCT) onto the
-bag's attributes — as a new relation. Bag materialization costs O(N^fhw) with
-DataFrame joins; the acyclic algorithms then run unchanged on the bag tree.
+each GHD bag — the join of the bag's relations, projected onto the bag's
+attributes as a multiset — as a new relation. Bag materialization costs
+O(N^fhw) with DataFrame joins; the acyclic algorithms then run unchanged on
+the bag tree. Every relation lies in exactly one bag, so each join result
+of the query is one join result of the bags, duplicate tuples included.
 
 The decomposition itself is supplied declaratively (bags + tree edges): for
 the query sizes in this repo (e.g. the 4-cycle R1(a,b)⋈R2(b,c)⋈R3(c,d)⋈R4(d,a)
@@ -46,8 +48,8 @@ def materialize_bag(
     schemas: Mapping[str, Sequence[str]],
 ):
     """Join the bag's relations (DataFrame joins on shared attrs) and project
-    DISTINCT onto the bag attrs — the set of bag tuples consistent with the
-    sub-join, as in Appendix E."""
+    onto the bag attrs, keeping one row per sub-join result (Appendix E's bag
+    tuples, with their multiplicities)."""
     cur = None
     cur_attrs: set[str] = set()
     for rel in bag.relations:
@@ -62,7 +64,7 @@ def materialize_bag(
                 )
             cur = engine.join(cur, df, on=shared)
             cur_attrs |= set(schemas[rel])
-    return engine.project(cur, list(bag.attrs), distinct=True)
+    return engine.project(cur, list(bag.attrs))
 
 
 def ghd_to_acyclic(
@@ -71,7 +73,16 @@ def ghd_to_acyclic(
     tables: Mapping[str, object],
     schemas: Mapping[str, Sequence[str]],
 ) -> RelQuery:
-    """Materialize every bag and return the equivalent acyclic RelQuery."""
+    """Materialize every bag and return the equivalent acyclic RelQuery.
+
+    Raises ``ValueError`` unless every relation of ``schemas`` is in exactly
+    one bag, the condition under which multiset bags count exactly: a
+    relation in two bags would weigh its duplicate tuples twice, and one in
+    no bag would not constrain the join."""
+    for rel in schemas:
+        n_bags = sum(rel in b.relations for b in ghd.bags)
+        if n_bags != 1:
+            raise ValueError(f"relation {rel} is in {n_bags} bags, not exactly one")
     bag_tables = {
         b.name: materialize_bag(engine, b, tables, schemas) for b in ghd.bags
     }

@@ -1,7 +1,10 @@
 """Yannakakis-style dynamic programs over an acyclic join tree.
 
-The DPs run on the engine abstraction (Spark DataFrames in production), and
-never materialize the join result:
+The DPs are written against the engine abstraction and never materialize
+the join result. Spark reduces; the driver counts: ``RelQuery`` runs the
+semi-join reduction on its engine (Spark in production), collects each
+reduced relation once (O(N) rows), and runs every counting DP over those
+pandas frames on ``DRIVER``, except the Rk-means baseline's carried DP.
 
 - ``full_reduce``: semi-join reduction — keep only non-dangling tuples.
 - ``subtree_counts``: the one bottom-up counting DP; node tuple t gets
@@ -10,14 +13,13 @@ never materialize the join result:
   with ``carry`` the counts are also split by carried columns (a group-by
   aggregate over the same tree).
 - ``multiplicities``: the up–down ("all marginals") pass — every tuple of
-  every relation gets its full-join multiplicity.
+  every relation gets its full-join multiplicity. ``RelQuery`` keeps its
+  multiplicities once per query, so every later call reads these pandas
+  frames and runs no engine job for them: |q(D)| is the root frame's sum, a
+  leaf projection H_u is one group-by of them, and they weight the
+  sampler's picks.
 - ``grouped_counts``: ``subtree_counts`` with carried columns, grouped by
   them at the root (the Rk-means baseline's grid-cell weights).
-- ``collected``: a DP's per-relation count frames, each collected to the
-  driver once (O(N) rows). ``RelQuery`` keeps its collected multiplicities
-  once per query, so every later call reads these pandas frames and runs no
-  engine job for them: a leaf projection H_u is one group-by of them, and
-  they weight the sampler's picks.
 - ``sample_join``: uniform sampling of join results with replacement — one
   driver-side weighted pick at the root, then one per-key pick per tree edge
   (Zhao et al. style); with carried columns, each sample is uniform over the
@@ -25,9 +27,9 @@ never materialize the join result:
 
 Lemma 2.1's CountRect / SampleRect are these two with carried columns: label
 each tuple with the box (or interval) its features fall in
-(``RelQuery.labelled``, on the driver), and the carried DP counts every box
-at once, while the carried sampler draws inside any of them (Algorithm 1 in
-``core.coreset_slow``).
+(``RelQuery.labelled``), and the carried DP counts every box at once, while
+the carried sampler draws inside any of them (Algorithm 1 in
+``core.coreset_slow``, all on the driver).
 """
 from __future__ import annotations
 
@@ -36,10 +38,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import pandas as pd
 
-from repro.joins.engine import Engine, PickTable
+from repro.joins.engine import Engine, LocalEngine, PickTable
 from repro.joins.join_tree import JoinTree
 
 CNT = "__cnt"
+DRIVER = LocalEngine()  # the engine of the DPs over collected frames
 
 
 def full_reduce(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> dict[str, object]:
@@ -104,12 +107,6 @@ def multiplicities(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) ->
     return out
 
 
-def total_count(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> int:
-    """|q(D)| without materializing the join."""
-    counts = subtree_counts(engine, tree, dfs)
-    return engine.sum_col(counts[tree.root], CNT)
-
-
 def grouped_counts(
     engine: Engine,
     tree: JoinTree,
@@ -130,17 +127,6 @@ def grouped_counts(
     return engine.to_pandas(engine.groupby_sum(root, keys, CNT, CNT))
 
 
-def collected(engine: Engine, frames: Mapping[str, object]) -> dict[str, pd.DataFrame]:
-    """Every frame collected to pandas once; the frames (which share one
-    DP's lineage) are cached for the collects and unpersisted after."""
-    frames = {name: engine.cache(df) for name, df in frames.items()}
-    try:
-        return {name: engine.to_pandas(df) for name, df in frames.items()}
-    finally:
-        for df in frames.values():
-            engine.unpersist(df)
-
-
 def sample_join(
     engine: Engine,
     tree: JoinTree,
@@ -154,7 +140,7 @@ def sample_join(
 ) -> pd.DataFrame:
     """z uniform (with replacement) samples from q(D), never materializing it.
 
-    ``counts`` are the ``collected`` frames of ``subtree_counts`` (or of
+    ``counts`` are the pandas frames of ``subtree_counts`` (or of
     ``multiplicities``, proportional to them within each key group); they
     weight one ``engine.weighted_pick`` at the root and one per tree edge.
     Each pick orders its tuples by their values, not by the engine's column
@@ -212,9 +198,10 @@ class RelQuery:
     two-step baseline and for exact cost evaluation in the harness).
 
     A query is immutable after construction, so what depends only on (q, D)
-    is computed on first use and kept: |q(D)| and the collected up–down
-    multiplicities that every leaf projection, every sample, every label and
-    the feature bounds read. :meth:`close` (or leaving a ``with`` block)
+    is computed on first use and kept: the up–down multiplicities, from one
+    collect of each cached reduced relation and one pass on the driver,
+    which |q(D)|, every leaf projection, every sample, every label and the
+    feature bounds read. :meth:`close` (or leaving a ``with`` block)
     releases the cached reduced frames and the multiplicities.
     """
 
@@ -228,7 +215,6 @@ class RelQuery:
                for name, rel in tree.relations.items()}
         reduced = full_reduce(engine, tree, dfs)
         self.dfs = {n: engine.cache(df) for n, df in reduced.items()}
-        self._n: int | None = None
         self._mult: dict[str, pd.DataFrame] | None = None
         self._picks: dict = {}
 
@@ -248,17 +234,17 @@ class RelQuery:
 
     # -- counting ---------------------------------------------------------
     def total_count(self) -> int:
-        """|q(D)| (cached)."""
-        if self._n is None:
-            self._n = total_count(self.engine, self.tree, self.dfs)
-        return self._n
+        """|q(D)|, the exact int sum of the root's :meth:`multiplicities`."""
+        return int(self.multiplicities()[self.tree.root][CNT].sum())
 
     def multiplicities(self) -> dict[str, pd.DataFrame]:
-        """Every relation's up–down ``multiplicities`` frame, collected on
-        first use and kept (once per query). Callers share these frames and
-        must not modify them."""
+        """Every relation's up–down ``multiplicities`` frame, computed on
+        first use and kept (once per query): each reduced relation is
+        collected once and the pass runs on the driver. Callers share these
+        frames and must not modify them."""
         if self._mult is None:
-            self._mult = collected(self.engine, multiplicities(self.engine, self.tree, self.dfs))
+            reduced = {n: self.engine.to_pandas(df) for n, df in self.dfs.items()}
+            self._mult = multiplicities(DRIVER, self.tree, reduced)
         return self._mult
 
     def leaf_weights(self, attr: str) -> pd.DataFrame:
@@ -283,22 +269,19 @@ class RelQuery:
 
     def labelled(
         self, labels: Mapping[str, Mapping[str, Callable[[pd.DataFrame], np.ndarray]]]
-    ) -> tuple[dict[str, object], dict[str, list[str]]]:
-        """The inputs (frames, carry) of a carried counting DP.
+    ) -> tuple[dict[str, pd.DataFrame], dict[str, list[str]]]:
+        """The inputs (pandas frames, carry) of a carried counting DP.
 
-        ``labels[rel][col]`` maps relation ``rel``'s reduced tuples (its
-        :meth:`multiplicities` frame without ``__cnt``) to one label per
-        tuple, in numpy on the driver. Each labelled relation becomes those
-        tuples plus their int64 label columns, lifted once with
-        ``engine.from_pandas``, and carries its label columns; every other
-        relation is its reduced frame ``dfs[rel]``. The kept frames are
-        not modified.
+        Every relation's frame holds its reduced tuples (its
+        :meth:`multiplicities` frame without ``__cnt``). ``labels[rel][col]``
+        maps relation ``rel``'s tuples to one label per tuple, in numpy; the
+        relation gains those int64 label columns and carries them. The kept
+        frames are not modified.
         """
-        dfs = dict(self.dfs)
+        dfs = {rel: df.drop(columns=CNT) for rel, df in self.multiplicities().items()}
         for rel, fns in labels.items():
-            tuples = self.multiplicities()[rel].drop(columns=CNT)
-            cols = {col: np.asarray(fn(tuples), dtype=np.int64) for col, fn in fns.items()}
-            dfs[rel] = self.engine.from_pandas(tuples.assign(**cols))
+            t = dfs[rel]
+            dfs[rel] = t.assign(**{col: np.asarray(fn(t), dtype=np.int64) for col, fn in fns.items()})
         return dfs, {rel: list(fns) for rel, fns in labels.items()}
 
     # -- sampling ---------------------------------------------------------

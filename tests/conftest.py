@@ -43,10 +43,11 @@ def label_box(Q, box: dict[str, tuple[float, float]]):
 
 def dp_box_counts(Q, box) -> dict[tuple, int]:
     """{interval ids per box attribute: #join results} from one carried
-    counting DP (Lemma 2.1's CountRect for every cell of the box's grid)."""
-    from repro.joins.yannakakis import CNT, grouped_counts
+    counting DP on the driver (Lemma 2.1's CountRect for every cell of the
+    box's grid)."""
+    from repro.joins.yannakakis import CNT, DRIVER, grouped_counts
 
-    cells = grouped_counts(Q.engine, Q.tree, *label_box(Q, box))
+    cells = grouped_counts(DRIVER, Q.tree, *label_box(Q, box))
     ids = cells[[f"__iv_{a}" for a in box]].to_numpy(dtype=np.int64)
     return {tuple(int(i) for i in k): int(c) for k, c in zip(ids, cells[CNT])}
 

@@ -1,5 +1,5 @@
 """Algorithm 1 (RelClusteringSlow): exact deterministic coreset, local engine
-(and one Spark parity check)."""
+(and one Spark check against the DuckDB join)."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -218,11 +218,10 @@ class TestClaimWeights:
         assert_representatives(P, pts, w, los, his)
 
     def test_one_counting_dp_per_call(self, inst, monkeypatch):
-        """One carried DP per node, and no engine collect per cell."""
+        """One carried DP per node, and no engine collect."""
         Q, joined = inst
-        # |q(D)| and the multiplicities are kept on the query before any
-        # inner node runs, as in relational_cluster (the leaves read them).
-        Q.total_count()
+        # The multiplicities (and so |q(D)|) are kept on the query before
+        # any inner node runs, as in relational_cluster.
         Q.multiplicities()
         feats = ["fa", "fb"]
         X, r, _ = setup_X(Q, joined, feats, seed=2)
@@ -243,7 +242,7 @@ class TestClaimWeights:
         C = build_coreset_slow(Q, feats, X, 2.0, r, 0.8, "median", c_g=0.5, max_cells=4000)
         assert len(dps) == 1
         assert C.info["n_processed"] > len(Q.tree.relations) + 1
-        assert len(collects) == len(Q.tree.relations)  # each count frame, once
+        assert not collects  # the node counts the kept frames on the driver
 
 
 def brute_first_boxes(E, A, B):
@@ -292,17 +291,27 @@ class TestFirstBoxes:
 
 class TestSparkParity:
     def test_same_weights_and_points(self, spark):
+        """On a Spark query, the node's weights are the first-box counts of
+        the DuckDB join and its points lie in their own cells."""
+        import duckdb
+
         tree, tables = random_instance(21, n=40, n_keys=5)
         se = SparkEngine(spark)
-        lq = RelQuery(LocalEngine(), tree, tables)
         sq = RelQuery(se, tree, {u: se.from_pandas(t) for u, t in tables.items()})
         feats = ["fa", "fb"]
-        X, r, _ = setup_X(lq, brute_force_join(tree, tables), feats)
-        a, b = (
-            build_coreset_slow(q, feats, X, 2.0, r, 0.8, "median", c_g=0.5, max_cells=4000,
+        with duckdb.connect() as con:
+            for name, t in tables.items():
+                con.register(name, t)
+            joined = con.execute(
+                "SELECT fa, fb FROM A JOIN B USING (x) JOIN C USING (y) ORDER BY ALL"
+            ).fetchdf()
+        X, r, P = setup_X(sq, joined, feats)
+        params = GridParams(phi_scale(r, 2.0, len(P), "median"), 0.8, 2.0, 2, c_g=0.5)
+        bbox = Box(tuple(P.min(axis=0) - 1e-9), tuple(P.max(axis=0) + 1e-9))
+        los, his, _, runs = processed_cells(X, params, bbox, params.max_level(len(P)), 4000)
+        w, pts, _ = claim_weights(sq, feats, los, his, np.random.default_rng(0), runs)
+        assert np.array_equal(w, first_box_weights(P, los, his))
+        assert_representatives(P, pts, w, los, his)
+        C = build_coreset_slow(sq, feats, X, 2.0, r, 0.8, "median", c_g=0.5, max_cells=4000,
                                rng=np.random.default_rng(0))
-            for q in (lq, sq)
-        )
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.points, b.points)
-        assert a.info == b.info
+        assert C.weights.sum() == len(P)

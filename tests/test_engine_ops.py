@@ -23,10 +23,6 @@ class TestLocalOps:
         assert list(out.columns) == ["k"]
         assert len(out) == 4
 
-    def test_project_distinct(self, eng):
-        out = eng.project(sample_df(), ["k"], distinct=True)
-        assert sorted(out["k"].tolist()) == [1, 2, 3]
-
     def test_join(self, eng):
         b = pd.DataFrame({"k": [1, 2], "extra": ["a", "b"]})
         out = eng.join(sample_df(), b, ["k"])
@@ -60,17 +56,6 @@ class TestLocalOps:
         assert out["t"].tolist() == [9, 20]
         assert list(out.columns) == ["t"]
 
-    def test_sum_col(self, eng):
-        assert eng.sum_col(sample_df(), "w") == 10.0
-        assert eng.sum_col(sample_df().iloc[:0], "w") == 0.0
-
-    def test_sum_col_exact_int(self, eng):
-        big = 2**53 + 1  # not representable as a float
-        got = eng.sum_col(pd.DataFrame({"c": [big, 2]}), "c")
-        assert type(got) is int and got == big + 2
-        assert type(eng.sum_col(pd.DataFrame({"c": []}), "c")) is int
-
-
 
 class TestSparkOps:
     @pytest.fixture(scope="class")
@@ -84,11 +69,6 @@ class TestSparkOps:
     def test_roundtrip(self, se, sdf):
         back = se.to_pandas(sdf).sort_values(["k", "v"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(back, sample_df(), check_dtype=False)
-
-    def test_sum_col_exact_int(self, se):
-        big = 2**53 + 1
-        got = se.sum_col(se.from_pandas(pd.DataFrame({"c": [big, 2]})), "c")
-        assert type(got) is int and got == big + 2
 
     def test_groupby_sum(self, se, sdf):
         out = se.to_pandas(se.groupby_sum(sdf, ["k"], "w", "total"))

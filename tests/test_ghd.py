@@ -30,13 +30,11 @@ def cyc(local):
 
 
 class TestBagMaterialization:
-    def test_bag_is_distinct_subjoin(self, local):
+    def test_bag_is_subjoin_multiset(self, local):
         tables = synth_data.cycle4_pdfs(n=100, n_keys=6, seed=2)
         bag = Bag("B1", ("R1", "R2"), ("a", "b", "c"))
         got = materialize_bag(local, bag, tables, CYCLE4_SCHEMAS)
-        expect = (
-            tables["R1"].merge(tables["R2"], on="b")[["a", "b", "c"]].drop_duplicates()
-        )
+        expect = tables["R1"].merge(tables["R2"], on="b")[["a", "b", "c"]]
         got_s = got.sort_values(["a", "b", "c"]).reset_index(drop=True)
         exp_s = expect.sort_values(["a", "b", "c"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got_s, exp_s, check_dtype=False)
@@ -47,11 +45,32 @@ class TestBagMaterialization:
         with pytest.raises(ValueError):
             materialize_bag(local, bag, tables, CYCLE4_SCHEMAS)
 
+    @pytest.mark.parametrize("bags", [
+        (("R1", "R2"), ("R2", "R3", "R4")),  # R2 in two bags
+        (("R1", "R2"), ("R3",)),  # R4 in none
+    ])
+    def test_relation_in_exactly_one_bag(self, local, bags):
+        tables = synth_data.cycle4_pdfs(n=10, n_keys=3, seed=0)
+        ghd = GHD(
+            bags=(Bag("B1", bags[0], ("a", "b", "c")), Bag("B2", bags[1], ("c", "d", "a"))),
+            edges=(("B1", "B2", ("a", "c")),),
+        )
+        with pytest.raises(ValueError, match="exactly one"):
+            ghd_to_acyclic(local, ghd, tables, CYCLE4_SCHEMAS)
+
 
 class TestCycle4Query:
     def test_count_matches_brute_force(self, cyc):
         Q, joined, _ = cyc
-        assert Q.total_count() == len(joined.drop_duplicates())
+        assert Q.total_count() == len(joined)
+
+    def test_duplicate_tuple_counted(self, local):
+        """One R1 tuple twice: the cycle has two results, as on the acyclic path."""
+        one = {"R1": [(1, 2)], "R2": [(2, 3)], "R3": [(3, 4)], "R4": [(4, 1)]}
+        tables = {r: pd.DataFrame(rows * (2 if r == "R1" else 1), columns=CYCLE4_SCHEMAS[r])
+                  for r, rows in one.items()}
+        assert len(brute_force_cycle4(tables)) == 2
+        assert ghd_to_acyclic(local, CYCLE4_GHD, tables, CYCLE4_SCHEMAS).total_count() == 2
 
     def test_materialize_matches_brute_force(self, cyc):
         Q, joined, _ = cyc
@@ -61,8 +80,7 @@ class TestCycle4Query:
             .reset_index(drop=True)
         )
         exp = (
-            joined.drop_duplicates()
-            .sort_values(["a", "b", "c", "d"])
+            joined.sort_values(["a", "b", "c", "d"])
             .reset_index(drop=True)[got.columns]
         )
         pd.testing.assert_frame_equal(
@@ -73,12 +91,12 @@ class TestCycle4Query:
         """Carried box counts over the GHD's bags, cell by cell."""
         Q, joined, _ = cyc
         box = {"a": (1.0, 4.0), "c": (2.0, 6.0)}
-        assert dp_box_counts(Q, box) == brute_box_counts(joined.drop_duplicates(), box)
+        assert dp_box_counts(Q, box) == brute_box_counts(joined, box)
 
     def test_sampling_yields_cycle_results(self, cyc):
         Q, joined, _ = cyc
         s = Q.sample(30, np.random.default_rng(0), attrs=["a", "b", "c", "d"])
-        real = {tuple(r) for r in joined.drop_duplicates().to_numpy()}
+        real = {tuple(r) for r in joined.to_numpy()}
         for row in s.to_numpy():
             assert tuple(int(v) for v in row) in real
 

@@ -132,14 +132,14 @@ class TestLeaves:
 
 class TestCallStructure:
     def test_one_dp_and_one_collect_per_relation(self, local, monkeypatch):
-        """The first fast call on a query runs one counting DP (the up–down
-        pass) and collects each relation's count frame once; the leaves and
-        picks read those. A second call on the same query runs neither."""
+        """The first fast call on a fresh query runs one counting DP (the
+        up–down pass, which |q(D)| reads) and collects each reduced relation
+        once; the leaves and picks read its frames. A second call on the
+        same query runs neither."""
         from repro.joins import yannakakis
         from repro.workloads import chain_query
 
         Q = chain_query(local, n=300, n_keys=40, seed=5)
-        Q.total_count()  # cached on the query before the calls
         dps, collects = [], []
         orig_dp, orig_collect = yannakakis.subtree_counts, Q.engine.to_pandas
 

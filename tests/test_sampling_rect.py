@@ -7,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.joins.engine import LocalEngine, PickTable
-from repro.joins.yannakakis import (
-    CNT,
-    RelQuery,
-    _carried,
-    collected,
-    sample_join,
-    subtree_counts,
-    total_count,
-)
+from repro.joins.yannakakis import CNT, RelQuery, _carried, sample_join, subtree_counts
 from tests.conftest import brute_box_counts, brute_force_join, dp_box_counts, label_box
 from tests.test_yannakakis_local import random_instance
 
@@ -85,9 +77,9 @@ class TestSampleJoin:
         ``random_instance`` has dangling tuples in every relation."""
         tree, tables = random_instance(seed)
         joined = brute_force_join(tree, tables)
-        assert total_count(eng, tree, tables) == len(joined)
+        counts = subtree_counts(eng, tree, tables)
+        assert counts[tree.root][CNT].sum() == len(joined)
         cols = ["x", "y", "fa", "fb", "fc"]
-        counts = collected(eng, subtree_counts(eng, tree, tables))
         s = sample_join(eng, tree, counts, 200, np.random.default_rng(seed), cols)
         assert len(s) == 200
         merged = s.merge(joined[cols].drop_duplicates(), on=cols, how="left", indicator=True)
@@ -99,7 +91,7 @@ class TestSampleJoin:
         Q, _ = inst
         permuted = {u: df[df.columns[::-1]] for u, df in Q.dfs.items()}
         a, b = (
-            sample_join(eng, Q.tree, collected(eng, subtree_counts(eng, Q.tree, dfs)), 300,
+            sample_join(eng, Q.tree, subtree_counts(eng, Q.tree, dfs), 300,
                         np.random.default_rng(5), ["fa", "fb", "fc"])
             for dfs in (Q.dfs, permuted)
         )
@@ -143,7 +135,7 @@ def sample_in_cells(Q, box, ids, rng):
     """One uniform join result (features fa, fb, fc) per row of ``ids``
     (interval ids per box attribute), through the carried sampler."""
     dfs, carry = label_box(Q, box)
-    counts = collected(Q.engine, subtree_counts(Q.engine, Q.tree, dfs, carry))
+    counts = subtree_counts(Q.engine, Q.tree, dfs, carry)
     groups = pd.DataFrame(np.atleast_2d(ids), columns=[f"__iv_{a}" for a in box])
     return sample_join(
         Q.engine, Q.tree, counts, len(groups), rng, ["fa", "fb", "fc"], carry, groups
@@ -370,7 +362,7 @@ class TestMatchesReferencePick:
             return
         box = random_box(seed, dims=("fa", "fc"))
         dfs, carry = label_box(Q, box)
-        counts = collected(eng, subtree_counts(eng, tree, dfs, carry))
+        counts = subtree_counts(eng, tree, dfs, carry)
         ivs = [f"__iv_{a}" for a in box]
         cells = counts[tree.root].groupby(ivs, as_index=False)[CNT].sum()
         groups = cells.iloc[np.random.default_rng(seed).integers(0, max(len(cells), 1), z)]

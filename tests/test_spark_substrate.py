@@ -1,14 +1,16 @@
 """Spark engine: substrate correctness against the DuckDB oracle and the
 local (pandas) engine. These exercise the real DataFrame/Catalyst path —
-shuffle joins (broadcast disabled in conftest), groupBy aggregations, the
-up–down multiplicity pass and the collect-then-pick sampler."""
+the semi-join reduction, shuffle joins (broadcast disabled in conftest) and
+groupBy aggregations of materialize and Rk-means — and the driver's counts
+over the collected reduced relations: the up–down pass, the carried DP and
+the collect-then-pick sampler."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.joins.engine import LocalEngine, SparkEngine
-from repro.joins.yannakakis import CNT, RelQuery, collected, sample_join, subtree_counts
+from repro.joins.yannakakis import CNT, DRIVER, RelQuery, sample_join, subtree_counts
 from repro.oracle import assert_equivalent
 from repro.workloads import chain_query, chain_tree, star_query
 from tests.conftest import brute_box_counts, dp_box_counts, label_box
@@ -31,15 +33,21 @@ def lq():
     return chain_query(LocalEngine(), n=300, n_keys=40, seed=5)
 
 
+def duckdb_rows(sql: str, tables: dict) -> pd.DataFrame:
+    import duckdb
+
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t)
+        return con.execute(sql).fetchdf()
+    finally:
+        con.close()
+
+
 class TestCountsVsOracle:
     def test_total_count_matches_duckdb(self, sq, chain_tables):
-        import duckdb
-
-        con = duckdb.connect()
-        for name, t in chain_tables.items():
-            con.register(name, t)
-        expect = con.execute(f"SELECT COUNT(*) {CHAIN_SQL_FROM}").fetchone()[0]
-        con.close()
+        expect = duckdb_rows(f"SELECT COUNT(*) AS n {CHAIN_SQL_FROM}", chain_tables)["n"][0]
         assert sq.total_count() == expect
 
     def test_leaf_weights_vs_oracle(self, sq, chain_tables):
@@ -64,12 +72,13 @@ class TestCountsVsOracle:
         )
 
     def test_count_rect_matches_duckdb(self, sq, chain_tables):
-        """Every cell of a box's grid, counted by one carried DP on Spark."""
+        """Every cell of a box's grid, counted by one carried DP over the
+        Spark query's collected relations."""
         box = {"x1": (0.2, 0.8), "x3": (0.0, 0.5)}
         dfs, carry = label_box(sq, box)
-        root = subtree_counts(sq.engine, sq.tree, dfs, carry)[sq.tree.root]
+        root = subtree_counts(DRIVER, sq.tree, dfs, carry)[sq.tree.root]
         assert_equivalent(
-            sq.engine.groupby_sum(root, ["__iv_x1", "__iv_x3"], CNT, "n"),
+            sq.engine.from_pandas(DRIVER.groupby_sum(root, ["__iv_x1", "__iv_x3"], CNT, "n")),
             'SELECT (x1 >= 0.2)::INT + (x1 >= 0.8)::INT - 1 AS "__iv_x1", '
             '(x3 >= 0.0)::INT + (x3 >= 0.5)::INT - 1 AS "__iv_x3", COUNT(*) AS n '
             f"{CHAIN_SQL_FROM} GROUP BY ALL",
@@ -96,24 +105,35 @@ class TestExactCounts:
 
 
 class TestSparkLocalParity:
-    def test_total_count(self, sq, lq):
-        assert sq.total_count() == lq.total_count()
+    def test_total_count(self, sq, lq, chain_tables):
+        expect = duckdb_rows(f"SELECT COUNT(*) AS n {CHAIN_SQL_FROM}", chain_tables)["n"][0]
+        assert sq.total_count() == lq.total_count() == expect
 
     def test_leaf_weights(self, sq, lq):
         a = sq.leaf_weights("x2").sort_values("x2").reset_index(drop=True)
         b = lq.leaf_weights("x2").sort_values("x2").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
-    def test_multiplicities(self, sq, lq):
-        """Per-tuple up–down counts agree; each relation sums to |q(D)|."""
-        n = lq.total_count()
-        sc, lc = sq.multiplicities(), lq.multiplicities()
-        for name, rel in lq.tree.relations.items():
-            cols = [*rel.attrs, CNT]
-            a = sc[name][cols].sort_values(cols, ignore_index=True)
-            b = lc[name][cols].sort_values(cols, ignore_index=True)
-            pd.testing.assert_frame_equal(a, b, check_dtype=False)
-            assert a[CNT].sum() == n
+    def test_multiplicities(self, sq, lq, chain_tables):
+        """Up–down counts on both engines equal DuckDB's join counts per
+        distinct tuple; each relation sums to |q(D)|."""
+        for Q in (sq, lq):
+            n = Q.total_count()
+            for name, rel in Q.tree.relations.items():
+                cols = list(rel.attrs)
+                got = Q.multiplicities()[name].groupby(cols, as_index=False)[CNT].sum()
+                # A tuple appearing c times in R takes part in c·m results.
+                want = duckdb_rows(
+                    f'SELECT {", ".join(cols)}, COUNT(*) AS "{CNT}" {CHAIN_SQL_FROM} '
+                    f"GROUP BY ALL",
+                    chain_tables,
+                )
+                pd.testing.assert_frame_equal(
+                    got.sort_values(cols, ignore_index=True),
+                    want[got.columns].sort_values(cols, ignore_index=True),
+                    check_dtype=False,
+                )
+                assert got[CNT].sum() == n
 
     def test_feature_bounds(self, sq, lq):
         a, b = sq.feature_bounds(), lq.feature_bounds()
@@ -122,18 +142,19 @@ class TestSparkLocalParity:
             assert a[f][1] == pytest.approx(b[f][1])
 
     def test_labelled(self, sq, lq):
-        """The same label columns on both engines, lifted into an engine frame."""
+        """The same labelled frames on both engines."""
         from repro.clustering.cost import assign
 
         centers = np.array([[0.1, 0.2], [0.9, 0.7], [0.5, 0.5]])
         labels = {"R2": {"cid": lambda t: assign(t[["x2", "k1"]].to_numpy(np.float64), centers)}}
         (sd, sc), (ld, lc) = sq.labelled(labels), lq.labelled(labels)
         assert sc == lc == {"R2": ["cid"]}
-        cols = ["k1", "k2", "x2", "cid"]
-        a = sq.engine.to_pandas(sd["R2"])[cols].sort_values(cols, ignore_index=True)
-        b = ld["R2"][cols].sort_values(cols, ignore_index=True)
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
-        assert sd["R1"] is sq.dfs["R1"]
+        for name in sq.tree.relations:
+            cols = sorted(ld[name].columns)
+            a = sd[name][cols].sort_values(cols, ignore_index=True)
+            b = ld[name][cols].sort_values(cols, ignore_index=True)
+            pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        assert set(sd["R1"].columns) == {"k1", "x1"}  # unlabelled: its reduced tuples
 
     @pytest.mark.parametrize("box", [
         {"x1": (0.0, 0.4)},
@@ -184,7 +205,7 @@ class TestSparkSampling:
     def test_sample_rect_respects_box(self, sq):
         box = {"x1": (0.2, 0.8), "x3": (0.0, 0.5)}
         dfs, carry = label_box(sq, box)
-        counts = collected(sq.engine, subtree_counts(sq.engine, sq.tree, dfs, carry))
+        counts = subtree_counts(DRIVER, sq.tree, dfs, carry)
         groups = pd.DataFrame({"__iv_x1": [0] * 30, "__iv_x3": [0] * 30})
         s = sample_join(
             sq.engine, sq.tree, counts, 30, np.random.default_rng(1), ["x1", "x3"], carry, groups
@@ -229,3 +250,39 @@ class TestSparkStar:
             orders=t["orders"][["l_orderkey", "o_custkey", "o_price_s"]],
             customer=t["customer"][["o_custkey", "c_acctbal_s"]],
         )
+
+
+class TestCountsOnDriver:
+    def test_no_spark_dp_outside_rkmeans(self, spark, monkeypatch):
+        """A Spark query's count pass and an Algorithm 1 node run no Spark
+        join or group-by; Rk-means still runs its one carried DP on Spark."""
+        from repro.baselines.rkmeans import rkmeans
+        from repro.core import coreset_slow
+        from repro.joins import yannakakis
+
+        Q = chain_query(SparkEngine(spark), n=200, n_keys=20, seed=3)
+        ops, dps = [], []
+        for op in ("join", "groupby_sum"):
+            def counted(self, *a, _op=op, _orig=getattr(SparkEngine, op), **kw):
+                ops.append(_op)
+                return _orig(self, *a, **kw)
+
+            monkeypatch.setattr(SparkEngine, op, counted)
+
+        def dp(engine, *a, _orig=yannakakis.subtree_counts, **kw):
+            dps.append(type(engine).__name__)
+            return _orig(engine, *a, **kw)
+
+        monkeypatch.setattr(yannakakis, "subtree_counts", dp)
+        monkeypatch.setattr(coreset_slow, "subtree_counts", dp)
+
+        assert Q.total_count() > 0
+        Q.multiplicities()
+        X = Q.sample(4, np.random.default_rng(0), attrs=["x1", "x2"]).to_numpy(np.float64)
+        C = coreset_slow.build_coreset_slow(Q, ["x1", "x2"], X, 2.0, 1.0, 0.8, "median",
+                                            c_g=0.5, max_cells=4000)
+        assert C.total_weight == Q.total_count()
+        assert ops == [] and dps == ["LocalEngine", "LocalEngine"]  # the pass, the node
+
+        rkmeans(Q, 3, seed=0)
+        assert dps.count("SparkEngine") == 1 and "groupby_sum" in ops

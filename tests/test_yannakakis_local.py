@@ -14,9 +14,13 @@ from repro.joins.yannakakis import (
     grouped_counts,
     multiplicities,
     subtree_counts,
-    total_count,
 )
 from tests.conftest import brute_force_join
+
+
+def total_count(eng, tree: JoinTree, dfs: dict) -> int:
+    """|q(D)| from the counting DP: the sum of the root's subtree counts."""
+    return int(subtree_counts(eng, tree, dfs)[tree.root][CNT].sum())
 
 
 def random_instance(seed, n=60, n_keys=8):
@@ -165,7 +169,7 @@ class TestMultiplicities:
     def test_ghd_cycle4(self, eng):
         from repro.workloads import cycle4_query
 
-        # Bags are DISTINCT, so an id per bag tuple keys on all its attributes.
+        # Bags are multisets: duplicate bag tuples get ids of their own.
         Q = cycle4_query(eng, n=150, n_keys=8, seed=3)
         assert_multiplicities_exact(eng, Q.tree, Q.dfs)
 
@@ -265,7 +269,8 @@ class TestLabelled:
         dfs, carry = Q.labelled(
             {"A": {"cid": lambda t: assign(t[["fa"]].to_numpy(dtype=np.float64), centers)}})
         assert carry == {"A": ["cid"]}
-        assert dfs["B"] is Q.dfs["B"] and dfs["C"] is Q.dfs["C"]
+        for name in ("B", "C"):  # unlabelled: the reduced tuples as they are
+            pd.testing.assert_frame_equal(dfs[name], Q.multiplicities()[name].drop(columns=CNT))
         got = dfs["A"]
         assert got["cid"].dtype == np.int64
         assert got["cid"].tolist() == np.where(got["fa"] < 0.5, 0, 1).tolist()
