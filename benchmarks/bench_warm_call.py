@@ -15,6 +15,9 @@ script it appends rows to ``BENCH_warm_call.json``; run it with the
 ``src`` of the checkout to measure on ``PYTHONPATH``:
 
     PYTHONPATH=src python benchmarks/bench_warm_call.py --label change --calls 20
+
+``--discrete`` times ``rel_kmedian(discrete=True)`` instead, whose medoid
+snap at the root adds exact O(m²) distance sums over the root coreset.
 """
 from __future__ import annotations
 
@@ -80,13 +83,13 @@ def layer_timer(spent: dict[str, float]):
             setattr(owner, attr, orig)
 
 
-def one_call(Q, seed: int) -> dict[str, float]:
+def one_call(Q, seed: int, discrete: bool = False) -> dict[str, float]:
     """Wall seconds of one warm call and of each layer in it."""
     from repro.core.api import rel_kmedian
 
     with layer_timer({}) as spent:
         t0 = time.perf_counter()
-        rel_kmedian(Q, K, pool_size=POOL, seed=seed)
+        rel_kmedian(Q, K, pool_size=POOL, seed=seed, discrete=discrete)
         spent["call"] = time.perf_counter() - t0
     return spent
 
@@ -131,16 +134,18 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="row label, e.g. parent or change")
     p.add_argument("--calls", type=int, default=20)
+    p.add_argument("--discrete", action="store_true", help="time discrete=True calls")
     p.add_argument("--out", default=str(ROOT / "BENCH_warm_call.json"))
     args = p.parse_args(argv)
     sys.path.append(str(ROOT))  # perfbench; repro comes from PYTHONPATH
     Q = warm_query()
     for seed in range(WARMUP):
-        one_call(Q, seed)
-    rows = [one_call(Q, seed) for seed in range(args.calls)]
+        one_call(Q, seed, args.discrete)
+    rows = [one_call(Q, seed, args.discrete) for seed in range(args.calls)]
     calls = sorted(r["call"] for r in rows)
     row = {
         "label": args.label,
+        "discrete": args.discrete,
         "calls": args.calls,
         "call_s_median": statistics.median(calls),
         "call_s_quartiles": [float(q) for q in np.quantile(calls, [0.25, 0.75])],

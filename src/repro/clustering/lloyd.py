@@ -11,9 +11,11 @@ standard-setting γ-approximation algorithm finishes the job.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.clustering.cost import assign, nearest, weighted_cost
+from repro.clustering.cost import assign, nearest, sq_dists, weighted_cost
 
 
 def _dedupe(P: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,7 +38,7 @@ def pp_init(
     n = len(P)
     first = rng.choice(n, p=w / w.sum())
     centers = [P[first]]
-    d = np.sqrt(((P - centers[0]) ** 2).sum(axis=1))
+    d = np.sqrt(sq_dists(P, P[first, None])[:, 0])
     for _ in range(1, min(k, n)):
         prob = w * d**power
         tot = prob.sum()
@@ -44,29 +46,42 @@ def pp_init(
             break
         nxt = rng.choice(n, p=prob / tot)
         centers.append(P[nxt])
-        d = np.minimum(d, np.sqrt(((P - P[nxt]) ** 2).sum(axis=1)))
+        d = np.minimum(d, np.sqrt(sq_dists(P, P[nxt, None])[:, 0]))
     return np.asarray(centers)
 
 
 def _mean(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted mean (the k-means center update)."""
-    return (Q * w[:, None]).sum(axis=0) / w.sum()
+    """Weighted mean (the k-means center update), as one matrix-vector
+    product."""
+    return w @ Q / w.sum()
 
 
 def geometric_median(
     Q: np.ndarray, w: np.ndarray, n_iter: int = 50, tol: float = 1e-9
 ) -> np.ndarray:
-    """Weighted geometric median via Weiszfeld's algorithm."""
+    """Weighted geometric median via Weiszfeld's algorithm, from the weighted
+    mean.
+
+    Each iteration is one distance pass over the columns of a contiguous
+    transposed copy of Q and one matrix-vector product, whose extra row of
+    ones gives the Σ inv denominator with the Σ inv·q numerator."""
+    n, d = Q.shape
+    Qt = np.empty((d + 1, n))
+    Qt[:d] = Q.T
+    Qt[d] = 1.0
     x = _mean(Q, w)
+    dist = np.empty(n)
+    t = np.empty(n)
     for _ in range(n_iter):
-        d = np.sqrt(((Q - x) ** 2).sum(axis=1))
-        hit = d < 1e-12
-        if hit.any():
-            # Weiszfeld is singular at data points; nudge off the point.
-            d = np.maximum(d, 1e-12)
-        inv = w / d
-        x_new = (Q * inv[:, None]).sum(axis=0) / inv.sum()
-        if np.sqrt(((x_new - x) ** 2).sum()) <= tol * (1.0 + np.sqrt((x**2).sum())):
+        np.square(np.subtract(Qt[0], x[0], out=dist), out=dist)
+        for c in range(1, d):
+            dist += np.square(np.subtract(Qt[c], x[c], out=t), out=t)
+        # Weiszfeld is singular at data points; nudge off the point.
+        inv = w / np.maximum(np.sqrt(dist, out=dist), 1e-12, out=dist)
+        num = Qt @ inv
+        x_new = num[:d] / num[d]
+        step = x_new - x
+        if math.sqrt(step @ step) <= tol * (1.0 + math.sqrt(x @ x)):
             return x_new
         x = x_new
     return x
@@ -78,17 +93,17 @@ _UPDATE = {"median": geometric_median, "means": _mean}
 _N_ITER = {"median": 40, "means": 60}
 
 
-# Elements of the (rows, m, d) pairwise-difference block in _medoid_costs.
+# Elements of the (rows, m) distance block in _medoid_costs.
 _BLOCK = 1 << 18
 
 
 def _medoid_costs(Q: np.ndarray, wq: np.ndarray, objective: str) -> np.ndarray:
     """Σ_j wq[j]·dist(Q[i], Q[j])^power for every i, one block of rows at a
-    time, so memory is O(block · m) for m points, never O(m²)."""
-    rows = max(1, _BLOCK // Q.size)
+    time, so memory is O(block) for m points, never O(m²)."""
+    rows = max(1, _BLOCK // len(Q))
     out = np.empty(len(Q))
     for s in range(0, len(Q), rows):
-        d = np.sqrt(((Q[s : s + rows, None, :] - Q[None, :, :]) ** 2).sum(axis=2))
+        d = np.sqrt(sq_dists(Q[s : s + rows], Q))
         if objective == "means":
             d = d**2
         out[s : s + rows] = (d * wq[None, :]).sum(axis=1)

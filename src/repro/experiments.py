@@ -209,7 +209,12 @@ def scaling_table(
     Each N gets a fresh query. ``prep_s`` is its one-time work (the collect
     of the reduced relations and the up–down pass, which |q(D)| reads) and
     ``NEW_seconds`` the first call after it; ``speedup`` compares FullJoin
-    with their sum, the cold call."""
+    with their sum, the cold call. One untimed query on the first N runs
+    before any row, so the first row does not carry the engine's first-use
+    warm-up (on Spark, seconds of it) that later rows do not pay."""
+    with build_chain(engine, ns[0], seed) as Q:
+        _prime(Q)
+        rel_kmedian(Q, k, eps=eps, pool_size=pool_size, seed=seed)
     rows = []
     for n in ns:
         with build_chain(engine, n, seed) as Q:

@@ -40,6 +40,16 @@ def dist_point_box(p, box: Box) -> float:
 
 def dist_points_boxes(P: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Pairwise distances: points (n, d) × boxes given as (m, d) lo/hi arrays
-    → (n, m) Euclidean distances."""
-    d = np.maximum(np.maximum(los[None, :, :] - P[:, None, :], P[:, None, :] - his[None, :, :]), 0.0)
-    return np.sqrt((d**2).sum(axis=2))
+    → (n, m) Euclidean distances.
+
+    The squared per-axis gaps are summed one column at a time into the
+    (n, m) result, never through an (n, m, d) array; for d < 8 that is the
+    order numpy sums so short a last axis in, so the bits are those of the
+    one-expression form."""
+    d2 = np.zeros((len(P), len(los)))
+    t = np.empty_like(d2)
+    for c in range(P.shape[1]):
+        p = P[:, c, None]
+        np.maximum(np.subtract(los[:, c], p, out=t), p - his[:, c], out=t)
+        d2 += np.square(np.maximum(t, 0.0, out=t), out=t)
+    return np.sqrt(d2)

@@ -18,6 +18,7 @@ enumeration modes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +80,23 @@ def snap_points(
 
     Returns (levels (n,), coords (n, d) int). Levels are capped at ``j_cap``
     (points beyond the outermost annulus land in it — they can only exist when
-    r under-estimates v_X, and the cap keeps them covered).
+    r under-estimates v_X, and the cap keeps them covered). Works one column
+    of P at a time; the L∞ norm is an ``np.maximum`` chain over columns.
     """
-    dist_inf = np.abs(P - x[None, :]).max(axis=1)
+    dist_inf = np.zeros(len(P))
+    for c in range(P.shape[1]):
+        np.maximum(dist_inf, np.abs(P[:, c] - x[c]), out=dist_inf)
     levels = np.minimum(params.level_of(dist_inf), j_cap)
-    anchor = x[None, :] - params.half_extent(levels)[:, None]
-    coords = np.floor((P - anchor) / params.cell_side(levels)[:, None]).astype(np.int64)
+    js = np.arange(levels.max(initial=0) + 1)  # per-level tables, looked up per point
+    half, side = params.half_extent(js)[levels], params.cell_side(js)[levels]
+    coords = np.empty(P.shape, dtype=np.int64)
+    for c in range(P.shape[1]):
+        coords[:, c] = np.floor((P[:, c] - (x[c] - half)) / side)
     return levels, coords
+
+
+# The packed (level, coords, position) key must fit an int64 to be exact.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def candidate_cells_from_points(
@@ -99,17 +110,37 @@ def candidate_cells_from_points(
     grouped by cell, in their ``idx`` order within a cell, and cell c's
     entries are ``order[starts[c]:starts[c + 1]]`` (the last cell's run to
     the end).
+
+    Each point's cell (level, coords) is packed in mixed radix into one
+    int64 above the point's position, so one sort of those keys is the
+    stable lexicographic order. Where the packed key would overflow int64
+    it would not be exact, and the rows are ``lexsort``-ed instead.
     """
     if len(idx) == 0:
         empty = np.zeros(0, np.int64)
         return empty, np.zeros((0, P.shape[1]), np.int64), idx[:0], empty
     levels, coords = snap_points(x, P[idx], params, j_cap)
-    keys = np.column_stack([levels, coords])
-    order = np.lexsort(keys.T[::-1])  # stable; level first, then coords
-    keys = keys[order]
+    cols = [levels, *coords.T]
+    lo = [int(c.min()) for c in cols]
+    span = [int(c.max()) - m + 1 for c, m in zip(cols, lo)]
+    shift = (len(idx) - 1).bit_length()
+    if math.prod(span) << shift <= _INT64_MAX:
+        key = cols[0] - lo[0]
+        for c, m, s in zip(cols[1:], lo[1:], span[1:]):
+            key = key * s + (c - m)
+        key = np.sort((key << shift) | np.arange(len(idx)))
+        order = key & ((1 << shift) - 1)
+        key >>= shift
+        new = key[1:] != key[:-1]
+    else:
+        keys = np.column_stack(cols)
+        order = np.lexsort(keys.T[::-1])  # stable; level first, then coords
+        keys = keys[order]
+        new = (keys[1:] != keys[:-1]).any(axis=1)
     # A cell starts wherever the sorted (level, coords) key changes.
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    return keys[starts, 0], keys[starts, 1:], idx[order], starts
+    starts = np.flatnonzero(np.r_[True, new])
+    first = order[starts]
+    return levels[first], coords[first], idx[order], starts
 
 
 def enumerate_cells(

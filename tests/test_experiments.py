@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import experiments
 from repro.experiments import (
     build_chain,
     deterministic_table,
@@ -69,6 +70,29 @@ class TestScalingTable:
         assert list(t["n_per_rel"]) == [80, 160]
         assert t["join_size"].iloc[1] > t["join_size"].iloc[0]
         assert (t["blowup"] > 1).all()
+
+    def test_untimed_warm_up_query_first(self, eng, monkeypatch):
+        """Before the first row, one query on the first N is built, primed
+        and called outside ``_timed``; every row then builds its own."""
+        events = []
+
+        def logged(name, fn, tag=None):
+            def wrapper(*args, **kwargs):
+                events.append(tag(*args) if tag else name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        logged("build_chain", experiments.build_chain, lambda _eng, n, _seed: ("build_chain", n))
+        for name in ("_prime", "_timed", "rel_kmedian"):
+            logged(name, getattr(experiments, name))
+        scaling_table(eng, ns=(80, 160), k=2, pool_size=1500, seed=0)
+        row = ["_prime", "_timed", "rel_kmedian", "_timed"]
+        assert events == [
+            ("build_chain", 80), "_prime", "rel_kmedian",
+            ("build_chain", 80), *row,
+            ("build_chain", 160), *row,
+        ]
 
 
 class TestDeterministicTable:
