@@ -58,9 +58,10 @@ os.environ.setdefault(
 def spark_builder(app: str):
     """A SparkSession builder with the per-session configs that *are*
     honoured after JVM launch (shuffle partitions, Arrow, broadcast
-    threshold). Broadcast joins are disabled so the join algorithms
-    exercise the shuffle path at small scale; a query that wants a
-    broadcast join sets the threshold back for itself."""
+    threshold). Automatic broadcast joins are disabled so the joins and
+    group-bys exercise the shuffle path at small scale. The semi-join
+    reduction asks for its broadcast with a hint (``SparkEngine.semijoin``),
+    which this threshold does not turn off."""
     from pyspark.sql import SparkSession
 
     return (

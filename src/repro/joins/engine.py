@@ -31,7 +31,9 @@ class Engine(ABC):
 
     @abstractmethod
     def semijoin(self, a, b, on: Sequence[str]):
-        """Tuples of ``a`` with at least one match in ``b`` (left-semi join)."""
+        """Tuples of ``a`` with at least one match in ``b`` (left-semi join):
+        each kept as often as it occurs in ``a``, however many matches it
+        has in ``b``."""
 
     @abstractmethod
     def groupby_sum(self, df, keys: Sequence[str], col: str, out: str):
@@ -208,7 +210,15 @@ class SparkEngine(Engine):
         return a.join(b, on=list(on), how=how)
 
     def semijoin(self, a, b, on):
-        return a.join(b.select(*on).distinct(), on=list(on), how="left_semi")
+        """A broadcast left-semi join on ``b``'s key projection: ``a`` is
+        not shuffled, and a left-semi hash join never repeats a row of
+        ``a``, so the keys need no ``distinct()``. The broadcast holds at
+        most ``b``'s key columns: O(N) rows for an acyclic query, a bag's
+        for a GHD, the order of the reduced relations the driver collects
+        anyway."""
+        from pyspark.sql import functions as F
+
+        return a.join(F.broadcast(b.select(*on)), on=list(on), how="left_semi")
 
     def groupby_sum(self, df, keys, col, out):
         from pyspark.sql import functions as F

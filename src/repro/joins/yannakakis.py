@@ -214,7 +214,11 @@ class RelQuery:
         dfs = {name: engine.project(tables[name], list(rel.attrs))
                for name, rel in tree.relations.items()}
         reduced = full_reduce(engine, tree, dfs)
-        self.dfs = {n: engine.cache(df) for n, df in reduced.items()}
+        # Parents first: each child's reduced plan reads its parent's
+        # reduced frame, so caching the parent first lets the child's
+        # cached plan read that cache instead of recomputing the parent.
+        cached = {n: engine.cache(reduced[n]) for n in reversed(tree.postorder())}
+        self.dfs = {n: cached[n] for n in tree.relations}
         self._mult: dict[str, pd.DataFrame] | None = None
         self._picks: dict = {}
 

@@ -1,4 +1,6 @@
 """Engine primitive operations: LocalEngine exhaustively, SparkEngine spot-checked."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -84,3 +86,42 @@ class TestSparkOps:
     def test_semijoin_no_duplication(self, se, sdf):
         b = se.from_pandas(pd.DataFrame({"k": [1, 1, 9]}))
         assert len(se.to_pandas(se.semijoin(sdf, b, ["k"]))) == 2
+
+    def test_semijoin_is_a_broadcast_left_semi_join(self, se, sdf):
+        """The test session disables automatic broadcasts, so the broadcast
+        comes from the semi-join's own hint, and no side is shuffled."""
+        b = se.from_pandas(pd.DataFrame({"k": [1, 1, 9]}))
+        out = se.semijoin(sdf, b, ["k"])
+        out.collect()
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        assert re.search(r"BroadcastHashJoin .*LeftSemi", plan), plan
+        assert "Exchange hashpartitioning" not in plan, plan
+
+    @pytest.mark.parametrize("a, b, on, empty_b", [
+        (  # an empty right side keeps nothing
+            pd.DataFrame({"k": [1, 2], "v": [1.0, 2.0]}),
+            pd.DataFrame({"k": [1]}),
+            ["k"],
+            True,
+        ),
+        (  # duplicate keys on both sides: each row of a once, as often as in a
+            pd.DataFrame({"k": [1, 1, 1, 2, 3], "v": [1.0, 1.0, 2.0, 3.0, 4.0]}),
+            pd.DataFrame({"k": [1, 1, 3, 3, 7], "w": [0.0, 1.0, 2.0, 3.0, 4.0]}),
+            ["k"],
+            False,
+        ),
+        (  # a two-column key, as on the 4-cycle GHD's edge (a, c)
+            pd.DataFrame({"a": [0, 0, 1, 1, 1], "c": [0, 1, 0, 1, 1], "b": [5, 6, 7, 8, 8]}),
+            pd.DataFrame({"c": [1, 1, 0, 2], "d": [0, 1, 2, 3], "a": [0, 0, 1, 1]}),
+            ["a", "c"],
+            False,
+        ),
+    ], ids=["empty-right", "duplicate-keys", "two-column-key"])
+    def test_semijoin_matches_local(self, se, a, b, on, empty_b):
+        def rows(df):
+            return df.sort_values(list(df.columns), ignore_index=True)
+
+        sb = se.from_pandas(b)  # Spark infers no schema from an empty pandas frame
+        got = se.to_pandas(se.semijoin(se.from_pandas(a), sb.limit(0) if empty_b else sb, on))
+        expect = LocalEngine().semijoin(a, b.iloc[:0] if empty_b else b, on)
+        pd.testing.assert_frame_equal(rows(got[list(a.columns)]), rows(expect), check_dtype=False)

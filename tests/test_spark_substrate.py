@@ -1,15 +1,19 @@
 """Spark engine: substrate correctness against the DuckDB oracle and the
 local (pandas) engine. These exercise the real DataFrame/Catalyst path —
-the semi-join reduction, shuffle joins (broadcast disabled in conftest) and
-groupBy aggregations of materialize and Rk-means — and the driver's counts
-over the collected reduced relations: the up–down pass, the carried DP and
-the collect-then-pick sampler."""
+the semi-join reduction (broadcast left-semi joins, which ask for their
+broadcast with a hint), shuffle joins (automatic broadcasts disabled in
+conftest) and groupBy aggregations of materialize and Rk-means — and the
+driver's counts over the collected reduced relations: the up–down pass, the
+carried DP and the collect-then-pick sampler."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data
 from repro.joins.engine import LocalEngine, SparkEngine
+from repro.joins.join_tree import JoinTree, Relation
 from repro.joins.yannakakis import CNT, DRIVER, RelQuery, sample_join, subtree_counts
 from repro.oracle import assert_equivalent
 from repro.workloads import chain_query, chain_tree, star_query
@@ -286,3 +290,120 @@ class TestCountsOnDriver:
 
         rkmeans(Q, 3, seed=0)
         assert dps.count("SparkEngine") == 1 and "groupby_sum" in ops
+
+
+class TestSetupJobs:
+    def test_setup_job_count(self, spark, chain_tables):
+        """The reduction and the one collect per relation, counted: broadcast
+        left-semi joins on key projections, parents cached first."""
+        sc, eng, group = spark.sparkContext, SparkEngine(spark), "test-setup-jobs"
+        sc.setJobGroup(group, "RelQuery setup")
+        try:
+            Q = RelQuery(eng, chain_tree(), {u: eng.from_pandas(t) for u, t in chain_tables.items()})
+            Q.total_count()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        Q.close()
+        # Sort-merge semi-joins with distinct(), cached in relation order: 17.
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 10
+
+
+CHAIN_SCHEMA = {"R1": (["k1"], ["x1"]), "R2": (["k1", "k2"], ["x2"]), "R3": (["k2"], ["x3"])}
+STAR_SCHEMA = {"F": (["a", "b", "c"], ["y"]), "A": (["a"], ["xa"]),
+               "B": (["b"], ["xb"]), "C": (["c"], ["xc"])}
+
+
+def star_tree4() -> JoinTree:
+    """A fact table F with three dimensions, rooted at dimension A."""
+    return JoinTree(
+        [Relation("F", ("a", "b", "c", "y"), ("y",)), Relation("A", ("a", "xa"), ("xa",)),
+         Relation("B", ("b", "xb"), ("xb",)), Relation("C", ("c", "xc"), ("xc",))],
+        [("F", "A", ["a"]), ("F", "B", ["b"]), ("F", "C", ["c"])],
+        root="A",
+    )
+
+
+def typed(schema, tables: dict[str, dict]) -> dict[str, pd.DataFrame]:
+    """Tables from column lists; ``schema[rel]`` = (key columns, cast to
+    int64; feature columns, cast to float64)."""
+    return {
+        rel: pd.DataFrame(tables[rel]).astype({**{c: np.int64 for c in kc}, **{c: np.float64 for c in fc}})
+        for rel, (kc, fc) in schema.items()
+    }
+
+
+@st.composite
+def random_tables(draw, schema) -> dict[str, pd.DataFrame]:
+    """Small tables over few key and feature values, so duplicate tuples,
+    dangling keys and empty joins are all likely. Every table has a row:
+    Spark infers no schema from an empty pandas frame."""
+    tables = {}
+    for rel, (kc, fc) in schema.items():
+        n = draw(st.integers(1, 6))
+        values = {**{c: st.integers(0, 3) for c in kc}, **{c: st.integers(0, 2) for c in fc}}
+        tables[rel] = {c: draw(st.lists(v, min_size=n, max_size=n)) for c, v in values.items()}
+    return typed(schema, tables)
+
+
+def brute_reduction(tree: JoinTree, tables) -> tuple[dict[str, pd.DataFrame], int]:
+    """Per relation, its rows that take part in the materialized join, with
+    ``__cnt`` = the number of join results each takes part in; and |q(D)|."""
+    cur = None
+    for u in reversed(tree.postorder()):
+        df = tables[u].assign(**{f"__rid_{u}": np.arange(len(tables[u]))})
+        cur = df if cur is None else cur.merge(df, on=list(tree.join_attrs(u, tree.parent[u])))
+    out = {}
+    for u in tree.relations:
+        cnt = cur[f"__rid_{u}"].value_counts()
+        out[u] = tables[u].iloc[cnt.index.to_numpy()].assign(**{CNT: cnt.to_numpy()})
+    return out, len(cur)
+
+
+def assert_reduction_parity(spark, tree: JoinTree, tables) -> None:
+    """Spark's reduction and the driver's pass give the same sorted reduced
+    relations, multiplicities and |q(D)| as LocalEngine and brute force."""
+    def rows(df, cols):
+        return df[cols].sort_values(cols, ignore_index=True)
+
+    expect, n = brute_reduction(tree, tables)
+    se = SparkEngine(spark)
+    with RelQuery(se, tree, {u: se.from_pandas(t) for u, t in tables.items()}) as sq:
+        lq = RelQuery(LocalEngine(), tree, tables)
+        assert sq.total_count() == lq.total_count() == n
+        for u, rel in tree.relations.items():
+            cols = list(rel.attrs)
+            for got in (se.to_pandas(sq.dfs[u]), lq.dfs[u]):
+                pd.testing.assert_frame_equal(rows(got, cols), rows(expect[u], cols),
+                                              check_dtype=False)
+            for got in (sq.multiplicities()[u], lq.multiplicities()[u]):
+                pd.testing.assert_frame_equal(rows(got, [*cols, CNT]),
+                                              rows(expect[u], [*cols, CNT]), check_dtype=False)
+
+
+PARITY = settings(max_examples=5, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReductionParity:
+    """Random small chain and star instances, plus one fixed case each."""
+
+    @given(tables=random_tables(CHAIN_SCHEMA))
+    @example(tables=typed(CHAIN_SCHEMA, {  # an empty join: R2 meets R1 on k1 = 0, but no R3 tuple
+        "R1": {"k1": [0, 0, 1], "x1": [1, 1, 2]},
+        "R2": {"k1": [0, 0, 2], "k2": [1, 1, 3], "x2": [0, 0, 1]},
+        "R3": {"k2": [2, 2], "x3": [1, 2]},
+    }))
+    @PARITY
+    def test_chain(self, spark, tables):
+        assert_reduction_parity(spark, chain_tree(), tables)
+
+    @given(tables=random_tables(STAR_SCHEMA))
+    @example(tables=typed(STAR_SCHEMA, {  # duplicate tuples and dangling keys in every relation
+        "F": {"a": [0, 0, 1, 3], "b": [1, 1, 1, 0], "c": [2, 2, 0, 2], "y": [1, 1, 0, 2]},
+        "A": {"a": [0, 0, 1, 2], "xa": [1, 1, 0, 0]},
+        "B": {"b": [1, 1, 2], "xb": [2, 2, 0]},
+        "C": {"c": [2, 2, 2, 3], "xc": [0, 0, 1, 1]},
+    }))
+    @PARITY
+    def test_star(self, spark, tables):
+        assert_reduction_parity(spark, star_tree4(), tables)
