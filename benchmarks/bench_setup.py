@@ -1,7 +1,7 @@
 """A warm query setup on Spark: ``from_pandas`` → ``RelQuery`` (the semi-join
-reduction, cached) → ``total_count`` (one collect per reduced relation and
-the up–down pass on the driver), on the tables of ``build_chain(engine, N,
-seed=0)``.
+reduction, with one collect per reduced relation; nothing cached) →
+``total_count`` (the up–down pass on the driver), on the tables of
+``build_chain(engine, N, seed=0)``.
 
 Each row is one N. It records the setup's median and quartile seconds over
 ``--setups`` setups, the Spark jobs one setup runs, the reduced rows, |q(D)|

@@ -56,16 +56,27 @@ def _mean(Q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w @ Q / w.sum()
 
 
+def _weighted_median(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """argmin_x Σ w·|q − x| from one sort: the first point, in sorted
+    order, at which the cumulative weight reaches half the total."""
+    order = np.argsort(q, kind="stable")
+    cum = np.cumsum(w[order])
+    return q[order[np.searchsorted(cum, cum[-1] / 2)], None]
+
+
 def geometric_median(
     Q: np.ndarray, w: np.ndarray, n_iter: int = 50, tol: float = 1e-9
 ) -> np.ndarray:
-    """Weighted geometric median via Weiszfeld's algorithm, from the weighted
-    mean.
+    """Weighted geometric median: in 1-D the exact weighted median, else
+    Weiszfeld's algorithm from the weighted mean.
 
-    Each iteration is one distance pass over the columns of a contiguous
-    transposed copy of Q and one matrix-vector product, whose extra row of
-    ones gives the Σ inv denominator with the Σ inv·q numerator."""
+    Each Weiszfeld iteration is one distance pass over the columns of a
+    contiguous transposed copy of Q and one matrix-vector product, whose
+    extra row of ones gives the Σ inv denominator with the Σ inv·q
+    numerator."""
     n, d = Q.shape
+    if d == 1:
+        return _weighted_median(Q[:, 0], w)
     Qt = np.empty((d + 1, n))
     Qt[:d] = Q.T
     Qt[d] = 1.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -56,13 +56,11 @@ class Engine(ABC):
     def from_pandas(self, pdf: pd.DataFrame):
         """Create an engine-native frame from pandas."""
 
-    @abstractmethod
-    def cache(self, df):
-        """Mark for reuse (no-op on pandas)."""
-
-    @abstractmethod
-    def unpersist(self, df) -> None:
-        """Drop what :meth:`cache` kept of ``df`` (no-op on pandas)."""
+    def to_pandas_all(self, builds: Sequence[Callable[[], object]]) -> list[pd.DataFrame]:
+        """:meth:`to_pandas` of the frame each of ``builds`` returns. No
+        build reads another's frame, so an engine may run the builds and
+        collects at the same time."""
+        return [self.to_pandas(build()) for build in builds]
 
     def weighted_pick(
         self,
@@ -190,12 +188,6 @@ class LocalEngine(Engine):
     def from_pandas(self, pdf):
         return pdf.copy()
 
-    def cache(self, df):
-        return df
-
-    def unpersist(self, df):
-        pass
-
 
 class SparkEngine(Engine):
     """PySpark DataFrame implementation (the production path)."""
@@ -239,11 +231,28 @@ class SparkEngine(Engine):
     def to_pandas(self, df):
         return df.toPandas()
 
+    def to_pandas_all(self, builds):
+        """Builds and collects the frames concurrently, one thread per
+        frame: planning waits on the JVM, which releases the GIL. Each
+        thread runs under ``inheritable_thread_target``, so its jobs carry
+        the caller's local properties (its job group among them), and calls
+        ``DataFrame.toPandas`` itself, not :meth:`to_pandas`, so a wrapper
+        of :meth:`to_pandas` (perfbench's tracer keeps one span stack)
+        never runs in two threads at once."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from pyspark import inheritable_thread_target
+
+        collect = inheritable_thread_target(self.spark)(lambda build: build().toPandas())
+        with ThreadPoolExecutor(max_workers=len(builds)) as pool:
+            return list(pool.map(collect, builds))
+
     def from_pandas(self, pdf):
-        return self.spark.createDataFrame(pdf)
+        """The schema comes from the frame's dtypes (as Arrow maps them, the
+        way Spark infers it from a non-empty frame), so an empty frame with
+        typed columns lifts too."""
+        import pyarrow as pa
+        from pyspark.sql.pandas.types import from_arrow_schema
 
-    def cache(self, df):
-        return df.cache()
-
-    def unpersist(self, df):
-        df.unpersist()
+        schema = from_arrow_schema(pa.Schema.from_pandas(pdf, preserve_index=False))
+        return self.spark.createDataFrame(pdf, schema)

@@ -6,7 +6,9 @@ semi-join reduction on its engine (Spark in production), collects each
 reduced relation once (O(N) rows), and runs every counting DP over those
 pandas frames on ``DRIVER``, except the Rk-means baseline's carried DP.
 
-- ``full_reduce``: semi-join reduction — keep only non-dangling tuples.
+- ``full_reduce``: semi-join reduction — keep only non-dangling tuples; its
+  top-down half reads each parent's collected keys and collects the
+  relations one tree level at a time.
 - ``subtree_counts``: the one bottom-up counting DP; node tuple t gets
   ``__cnt`` = number of join results of the subtree below t. At the root this
   yields the per-root-tuple counts c(h) of Algorithm 3 and the total |q(D)|;
@@ -33,6 +35,7 @@ the carried sampler draws inside any of them (Algorithm 1 in
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,18 +48,39 @@ CNT = "__cnt"
 DRIVER = LocalEngine()  # the engine of the DPs over collected frames
 
 
-def full_reduce(engine: Engine, tree: JoinTree, dfs: Mapping[str, object]) -> dict[str, object]:
+def full_reduce(
+    engine: Engine, tree: JoinTree, dfs: Mapping[str, object]
+) -> tuple[dict[str, object], dict[str, pd.DataFrame]]:
     """Two semi-join passes (bottom-up, then top-down): every surviving tuple
-    participates in at least one join result."""
+    participates in at least one join result. Returns every reduced
+    relation twice: as an engine frame and collected (pandas), each
+    collected once.
+
+    The bottom-up pass is lazy engine plans; collecting the root runs it.
+    The top-down pass goes one tree level at a time: each child is
+    semi-joined against its parent's key set, read off the parent's
+    collected frame and lifted with ``from_pandas``, and the children of a
+    level are reduced and collected together (``Engine.to_pandas_all``)."""
     out = dict(dfs)
     for u in tree.postorder():
         p = tree.parent[u]
         if p is not None:
             out[p] = engine.semijoin(out[p], out[u], tree.join_attrs(u, p))
-    for u in reversed(tree.postorder()):  # preorder: parents before children
-        for c in tree.children[u]:
-            out[c] = engine.semijoin(out[c], out[u], tree.join_attrs(c, u))
-    return out
+    got: dict[str, pd.DataFrame] = {}
+
+    def reduced(c: str):
+        p = tree.parent[c]
+        if p is not None:
+            jk = list(tree.join_attrs(c, p))
+            keys = engine.from_pandas(got[p][jk].drop_duplicates(ignore_index=True))
+            out[c] = engine.semijoin(out[c], keys, jk)
+        return out[c]
+
+    level = [tree.root]
+    while level:
+        got.update(zip(level, engine.to_pandas_all([partial(reduced, c) for c in level])))
+        level = [c for u in level for c in tree.children[u]]
+    return out, got
 
 
 def _carried(tree: JoinTree, carry: Mapping[str, Sequence[str]], u: str) -> list[str]:
@@ -197,12 +221,14 @@ class RelQuery:
     materialize q(D) (except :meth:`materialize`, which exists only for the
     two-step baseline and for exact cost evaluation in the harness).
 
-    A query is immutable after construction, so what depends only on (q, D)
-    is computed on first use and kept: the up–down multiplicities, from one
-    collect of each cached reduced relation and one pass on the driver,
-    which |q(D)|, every leaf projection, every sample, every label and the
-    feature bounds read. :meth:`close` (or leaving a ``with`` block)
-    releases the cached reduced frames and the multiplicities.
+    A query is immutable after construction. Construction runs the
+    semi-join reduction and collects each reduced relation once
+    (:func:`full_reduce`); nothing is persisted on the engine, and ``dfs``
+    holds the reduced relations' engine frames. What depends only on (q, D)
+    is computed from the collected relations on first use and kept: the
+    up–down multiplicities, which |q(D)|, every leaf projection, every
+    sample, every label and the feature bounds read. :meth:`close` (or
+    leaving a ``with`` block) drops the kept multiplicities.
     """
 
     def __init__(self, engine: Engine, tree: JoinTree, tables: Mapping[str, object]):
@@ -213,20 +239,14 @@ class RelQuery:
             raise ValueError(f"missing tables for relations {missing}")
         dfs = {name: engine.project(tables[name], list(rel.attrs))
                for name, rel in tree.relations.items()}
-        reduced = full_reduce(engine, tree, dfs)
-        # Parents first: each child's reduced plan reads its parent's
-        # reduced frame, so caching the parent first lets the child's
-        # cached plan read that cache instead of recomputing the parent.
-        cached = {n: engine.cache(reduced[n]) for n in reversed(tree.postorder())}
-        self.dfs = {n: cached[n] for n in tree.relations}
+        reduced, self._reduced = full_reduce(engine, tree, dfs)
+        self.dfs = {n: reduced[n] for n in tree.relations}
         self._mult: dict[str, pd.DataFrame] | None = None
         self._picks: dict = {}
 
     def close(self) -> None:
-        """Unpersist the reduced frames and drop the kept multiplicities; a
-        second call does nothing."""
-        for df in self.dfs.values():
-            self.engine.unpersist(df)
+        """Drop the kept multiplicities and pick tables; a second call does
+        nothing."""
         self._mult = None
         self._picks = {}
 
@@ -243,12 +263,11 @@ class RelQuery:
 
     def multiplicities(self) -> dict[str, pd.DataFrame]:
         """Every relation's up–down ``multiplicities`` frame, computed on
-        first use and kept (once per query): each reduced relation is
-        collected once and the pass runs on the driver. Callers share these
-        frames and must not modify them."""
+        first use and kept (once per query): the pass runs on the driver,
+        over the reduced relations collected at construction. Callers share
+        these frames and must not modify them."""
         if self._mult is None:
-            reduced = {n: self.engine.to_pandas(df) for n, df in self.dfs.items()}
-            self._mult = multiplicities(DRIVER, self.tree, reduced)
+            self._mult = multiplicities(DRIVER, self.tree, self._reduced)
         return self._mult
 
     def leaf_weights(self, attr: str) -> pd.DataFrame:

@@ -72,6 +72,13 @@ class TestSparkOps:
         back = se.to_pandas(sdf).sort_values(["k", "v"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(back, sample_df(), check_dtype=False)
 
+    def test_from_pandas_empty(self, se):
+        """An empty frame lifts with the Spark types of its dtypes."""
+        pdf = pd.DataFrame({"k": np.array([], dtype=np.int64), "x": np.array([], dtype=np.float64)})
+        df = se.from_pandas(pdf)
+        assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [("k", "bigint"), ("x", "double")]
+        pd.testing.assert_frame_equal(se.to_pandas(df), pdf)
+
     def test_groupby_sum(self, se, sdf):
         out = se.to_pandas(se.groupby_sum(sdf, ["k"], "w", "total"))
         got = dict(zip(out["k"], out["total"]))
@@ -121,7 +128,7 @@ class TestSparkOps:
         def rows(df):
             return df.sort_values(list(df.columns), ignore_index=True)
 
-        sb = se.from_pandas(b)  # Spark infers no schema from an empty pandas frame
-        got = se.to_pandas(se.semijoin(se.from_pandas(a), sb.limit(0) if empty_b else sb, on))
-        expect = LocalEngine().semijoin(a, b.iloc[:0] if empty_b else b, on)
+        b = b.iloc[:0] if empty_b else b
+        got = se.to_pandas(se.semijoin(se.from_pandas(a), se.from_pandas(b), on))
+        expect = LocalEngine().semijoin(a, b, on)
         pd.testing.assert_frame_equal(rows(got[list(a.columns)]), rows(expect), check_dtype=False)

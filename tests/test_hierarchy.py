@@ -132,16 +132,15 @@ class TestLeaves:
 
 class TestCallStructure:
     def test_one_dp_and_one_collect_per_relation(self, local, monkeypatch):
-        """The first fast call on a fresh query runs one counting DP (the
-        up–down pass, which |q(D)| reads) and collects each reduced relation
-        once; the leaves and picks read its frames. A second call on the
-        same query runs neither."""
+        """Building a query collects each reduced relation once; its first
+        fast call runs one counting DP (the up–down pass, which |q(D)|
+        reads) and collects nothing, as the leaves and picks read the
+        pass's frames. A second call on the same query runs neither."""
         from repro.joins import yannakakis
         from repro.workloads import chain_query
 
-        Q = chain_query(local, n=300, n_keys=40, seed=5)
         dps, collects = [], []
-        orig_dp, orig_collect = yannakakis.subtree_counts, Q.engine.to_pandas
+        orig_dp, orig_collect = yannakakis.subtree_counts, local.to_pandas
 
         def dp(*a, **kw):
             dps.append(1)
@@ -152,14 +151,16 @@ class TestCallStructure:
             return orig_collect(df)
 
         monkeypatch.setattr(yannakakis, "subtree_counts", dp)
-        monkeypatch.setattr(Q.engine, "to_pandas", collect)
-        for want_dps, want_collects in [(1, len(Q.tree.relations)), (0, 0)]:
+        monkeypatch.setattr(local, "to_pandas", collect)
+        Q = chain_query(local, n=300, n_keys=40, seed=5)
+        assert (len(dps), len(collects)) == (0, len(Q.tree.relations))
+        for want_dps in (1, 0):
             dps.clear()
             collects.clear()
             res = relational_cluster(Q, 3, 0.5, "median", method="fast", pool_size=1500, seed=0)
             assert len(res.nodes) == 2 * len(Q.tree.all_features) - 1
             assert len(dps) == want_dps
-            assert len(collects) == want_collects
+            assert len(collects) == 0
 
 
 class TestQueryCache:

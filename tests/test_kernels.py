@@ -236,14 +236,14 @@ class TestClustering:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        d=DIMS,
+        d=st.integers(2, 7),
         n=st.integers(1, 400),
         dup=st.booleans(),
         scale=st.sampled_from([1e-3, 1.0, 1e4]),
     )
     def test_geometric_median_close(self, seed, d, n, dup, scale):
-        """Within 1e-9 of the per-row-sum Weiszfeld, relative to the data's
-        scale, and the weighted mean within 1e-12."""
+        """From 2-D up: within 1e-9 of the per-row-sum Weiszfeld, relative
+        to the data's scale, and the weighted mean within 1e-12."""
         Q = points(seed, n, d, dup=dup) * scale
         w = np.random.default_rng(seed).integers(1, 9, n).astype(np.float64)
         rel = max(np.abs(Q).max(), 1e-300)
@@ -252,6 +252,30 @@ class TestClustering:
         got = lloyd.geometric_median(Q, w)
         assert got.shape == (d,)
         assert np.abs(got - ref_geometric_median(Q, w)).max() <= 1e-9 * rel
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 400),
+        dup=st.booleans(),
+        scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    )
+    def test_geometric_median_1d_is_exact(self, seed, n, dup, scale):
+        """In 1-D, the cost of the best data point (brute force over the
+        candidates: some data point is a minimizer), and no more than
+        Weiszfeld's, run on the same points with a zero second column."""
+        q = points(seed, n, 1, dup=dup) * scale
+        w = np.random.default_rng(seed).integers(1, 9, n).astype(np.float64)
+
+        def cost(x):
+            return float(w @ np.abs(q[:, 0] - x))
+
+        got = lloyd.geometric_median(q, w)
+        assert got.shape == (1,)
+        brute = min(cost(c) for c in q[:, 0])
+        assert cost(got[0]) <= brute * (1 + 1e-12)
+        weiszfeld = lloyd.geometric_median(np.c_[q, np.zeros(n)], w)
+        assert cost(got[0]) <= cost(weiszfeld[0]) * (1 + 1e-12)
 
     def test_geometric_median_at_a_data_point(self):
         """Weiszfeld's 1e-12 floor: a start on a data point stays finite."""

@@ -1,5 +1,6 @@
 """End-to-end relational clustering on the Spark engine (the production path)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.full_join import exact_cost, full_join_cluster, materialized_features
@@ -98,14 +99,19 @@ class TestQueryLifetime:
         assert np.array_equal(warm.centers, cold.centers)
         assert warm.r == cold.r
 
-    def test_close_unpersists_reduced_frames(self, spark):
+    def test_nothing_persisted_and_close_drops_kept_frames(self, spark):
+        """Setup persists nothing on Spark; close() drops the kept
+        multiplicities, which the next use recomputes on the driver."""
         from pyspark import StorageLevel
 
         Q = chain_query(SparkEngine(spark), n=100, n_keys=10, seed=2)
         Q.total_count()
         kept = Q.multiplicities()
-        assert all(df.storageLevel != StorageLevel.NONE for df in Q.dfs.values())
-        Q.close()
         assert all(df.storageLevel == StorageLevel.NONE for df in Q.dfs.values())
+        assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+        Q.close()
         Q.close()  # a second close does nothing
-        assert Q.multiplicities() is not kept
+        again = Q.multiplicities()
+        assert again is not kept
+        for name, df in kept.items():
+            pd.testing.assert_frame_equal(again[name], df)

@@ -5,6 +5,10 @@ broadcast with a hint), shuffle joins (automatic broadcasts disabled in
 conftest) and groupBy aggregations of materialize and Rk-means — and the
 driver's counts over the collected reduced relations: the up–down pass, the
 carried DP and the collect-then-pick sampler."""
+import sys
+import threading
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -295,7 +299,8 @@ class TestCountsOnDriver:
 class TestSetupJobs:
     def test_setup_job_count(self, spark, chain_tables):
         """The reduction and the one collect per relation, counted: broadcast
-        left-semi joins on key projections, parents cached first."""
+        left-semi joins on key projections bottom-up; top-down, each child
+        semi-joined against its parent's collected keys; nothing cached."""
         sc, eng, group = spark.sparkContext, SparkEngine(spark), "test-setup-jobs"
         sc.setJobGroup(group, "RelQuery setup")
         try:
@@ -304,8 +309,57 @@ class TestSetupJobs:
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         Q.close()
-        # Sort-merge semi-joins with distinct(), cached in relation order: 17.
-        assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 10
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 7
+
+    def test_collect_jobs_stay_in_callers_job_group(self, spark, chain_tables):
+        """The concurrent collects run in worker threads; their jobs carry
+        the caller's job group, and none runs without a group."""
+        sc, eng, group = spark.sparkContext, SparkEngine(spark), "test-collect-group"
+        tables = {u: eng.from_pandas(t) for u, t in chain_tables.items()}
+        ungrouped = set(sc.statusTracker().getJobIdsForGroup(None))
+        sc.setJobGroup(group, "RelQuery setup")
+        try:
+            frames = eng.to_pandas_all([partial(eng.groupby_sum, tables["R2"], [k], "x2", "s")
+                                        for k in ("k1", "k2")])
+            RelQuery(eng, chain_tree(), tables)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert [len(f) for f in frames] == [chain_tables["R2"][k].nunique() for k in ("k1", "k2")]
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) >= 2 + len(tables)
+        assert set(sc.statusTracker().getJobIdsForGroup(None)) <= ungrouped
+
+
+class TestSetupCollects:
+    def test_one_collect_per_relation(self, spark, chain_tables, monkeypatch):
+        """Setup collects each reduced relation once, and nothing after it
+        (counts, leaves, samples, labels) collects again."""
+        eng = SparkEngine(spark)
+        tables = {u: eng.from_pandas(t) for u, t in chain_tables.items()}
+        frame_type = type(tables["R1"])
+        collected = []
+        orig = frame_type.toPandas
+
+        def to_pandas(df):
+            collected.append(tuple(sorted(df.columns)))  # a semi-join moves its keys first
+            return orig(df)
+
+        monkeypatch.setattr(frame_type, "toPandas", to_pandas)
+        Q = RelQuery(eng, chain_tree(), tables)
+        Q.total_count()
+        Q.leaf_weights("x3")
+        Q.sample(50, np.random.default_rng(0))
+        Q.labelled({"R1": {"one": lambda t: np.ones(len(t))}})
+        assert sorted(collected) == sorted(tuple(sorted(rel.attrs)) for rel in Q.tree.relations.values())
+
+    @pytest.mark.parametrize("engine", ["local", "spark"])
+    def test_empty_relation(self, engine, request, chain_tables):
+        """A query with an empty input relation builds on both engines, and
+        its join is empty."""
+        eng = LocalEngine() if engine == "local" else SparkEngine(request.getfixturevalue("spark"))
+        tables = {**chain_tables, "R3": chain_tables["R3"].iloc[:0]}
+        Q = RelQuery(eng, chain_tree(), {u: eng.from_pandas(t) for u, t in tables.items()})
+        assert Q.total_count() == 0
+        assert all(len(df) == 0 for df in Q.multiplicities().values())
 
 
 CHAIN_SCHEMA = {"R1": (["k1"], ["x1"]), "R2": (["k1", "k2"], ["x2"]), "R3": (["k2"], ["x3"])}
@@ -335,11 +389,10 @@ def typed(schema, tables: dict[str, dict]) -> dict[str, pd.DataFrame]:
 @st.composite
 def random_tables(draw, schema) -> dict[str, pd.DataFrame]:
     """Small tables over few key and feature values, so duplicate tuples,
-    dangling keys and empty joins are all likely. Every table has a row:
-    Spark infers no schema from an empty pandas frame."""
+    dangling keys, empty tables and empty joins are all likely."""
     tables = {}
     for rel, (kc, fc) in schema.items():
-        n = draw(st.integers(1, 6))
+        n = draw(st.integers(0, 6))
         values = {**{c: st.integers(0, 3) for c in kc}, **{c: st.integers(0, 2) for c in fc}}
         tables[rel] = {c: draw(st.lists(v, min_size=n, max_size=n)) for c, v in values.items()}
     return typed(schema, tables)
@@ -407,3 +460,42 @@ class TestReductionParity:
     @PARITY
     def test_star(self, spark, tables):
         assert_reduction_parity(spark, star_tree4(), tables)
+
+
+class TestConcurrentLevels:
+    def test_wide_level_with_fast_thread_switches(self, spark):
+        """Six dimensions under the fact table: one level of six concurrent
+        builds and collects, more threads than cores, with the interpreter
+        switching threads every microsecond. The reduction still equals
+        brute force, and the setup ends within its time bound."""
+        dims = "abcdef"
+        tree = JoinTree(
+            [Relation("F", (*dims, "y"), ("y",)),
+             *[Relation(f"D{d}", (d, f"x{d}"), (f"x{d}",)) for d in dims]],
+            [("F", f"D{d}", [d]) for d in dims],
+            root="F",
+        )
+        rng = np.random.default_rng(0)
+        tables = {"F": pd.DataFrame({**{d: rng.integers(0, 4, 40) for d in dims}, "y": rng.random(40)}),
+                  **{f"D{d}": pd.DataFrame({d: rng.integers(0, 5, 8), f"x{d}": rng.random(8)})
+                     for d in dims}}
+        outcome = []
+
+        def run():
+            try:
+                assert_reduction_parity(spark, tree, tables)
+                outcome.append(None)
+            except Exception as e:  # re-raised in the test's thread
+                outcome.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=run, daemon=True)
+            t.start()
+            t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive(), "setup did not finish within 300 s"
+        if outcome[0] is not None:
+            raise outcome[0]

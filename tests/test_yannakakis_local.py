@@ -55,7 +55,7 @@ class TestFullReduce:
     def test_reduced_tuples_are_exactly_participating(self, eng, seed):
         tree, tables = random_instance(seed)
         joined = brute_force_join(tree, tables)
-        reduced = full_reduce(eng, tree, tables)
+        reduced, _ = full_reduce(eng, tree, tables)
         for name in tree.relations:
             attrs = list(tree.relations[name].attrs)
             surviving = reduced[name][attrs].drop_duplicates()
@@ -67,7 +67,7 @@ class TestFullReduce:
         # Duplicate rows in a relation must survive as duplicates.
         tree, tables = random_instance(0)
         tables["A"] = pd.concat([tables["A"], tables["A"].iloc[:5]], ignore_index=True)
-        reduced = full_reduce(eng, tree, tables)
+        reduced, _ = full_reduce(eng, tree, tables)
         n_before = len(
             tables["A"].merge(tables["B"][["x"]].drop_duplicates(), on="x")
         )
@@ -85,21 +85,21 @@ class TestCounting:
     @pytest.mark.parametrize("seed", range(8))
     def test_total_count_matches_brute_force(self, eng, seed):
         tree, tables = random_instance(seed)
-        reduced = full_reduce(eng, tree, tables)
+        reduced, _ = full_reduce(eng, tree, tables)
         assert total_count(eng, tree, reduced) == len(brute_force_join(tree, tables))
 
     @pytest.mark.parametrize("root", ["A", "B", "C"])
     def test_count_independent_of_root(self, eng, root):
         tree, tables = random_instance(3)
         t2 = tree.rerooted(root)
-        reduced = full_reduce(eng, t2, tables)
+        reduced, _ = full_reduce(eng, t2, tables)
         assert total_count(eng, t2, reduced) == len(brute_force_join(tree, tables))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_root_tuple_counts(self, eng, seed):
         """c(h) per root tuple equals the brute-force group size."""
         tree, tables = random_instance(seed)
-        reduced = full_reduce(eng, tree, tables)
+        reduced, _ = full_reduce(eng, tree, tables)
         counts = subtree_counts(eng, tree, reduced)["B"]
         joined = brute_force_join(tree, tables)
         expect = joined.groupby(["x", "y", "fb"]).size()
@@ -109,7 +109,7 @@ class TestCounting:
     def test_empty_join(self, eng):
         tree, tables = random_instance(0)
         tables["C"] = tables["C"].assign(y=999_999)  # no matches
-        reduced = full_reduce(eng, tree, tables)
+        reduced, _ = full_reduce(eng, tree, tables)
         assert total_count(eng, tree, reduced) == 0
 
 
@@ -141,7 +141,7 @@ def per_tuple_join_counts(tree: JoinTree, dfs: dict) -> dict[str, pd.Series]:
 
 def assert_multiplicities_exact(eng, tree: JoinTree, dfs: dict) -> None:
     """``multiplicities`` of the reduced ``dfs`` (with ids) vs brute force."""
-    dfs = full_reduce(eng, tree, with_rids(dfs))
+    dfs, _ = full_reduce(eng, tree, with_rids(dfs))
     expect = per_tuple_join_counts(tree, dfs)
     counts = multiplicities(eng, tree, dfs)
     n = total_count(eng, tree, dfs)
@@ -312,7 +312,7 @@ class TestGroupedCounts:
     def test_matches_brute_force_groupby(self, eng):
         tree, tables = random_instance(6)
         g = np.random.default_rng(0)
-        tagged = dict(full_reduce(eng, tree, tables))
+        tagged, _ = full_reduce(eng, tree, tables)
         tagged["A"] = tagged["A"].assign(__cid_A=g.integers(0, 3, len(tagged["A"])))
         tagged["C"] = tagged["C"].assign(__cid_C=g.integers(0, 2, len(tagged["C"])))
         got = grouped_counts(eng, tree, tagged, {"A": ["__cid_A"], "C": ["__cid_C"]})
@@ -343,7 +343,7 @@ class TestGroupedCounts:
 
     def test_no_carry_gives_total(self, eng):
         tree, tables = random_instance(7)
-        reduced = full_reduce(eng, tree, tables)
+        reduced, _ = full_reduce(eng, tree, tables)
         got = grouped_counts(eng, tree, reduced, {})
         assert got[CNT].sum() == total_count(eng, tree, reduced)
 
@@ -362,7 +362,7 @@ class TestCarriedCounts:
     def test_matches_brute_force_groupby(self, eng, seed, root, carriers, n_ids):
         tree, tables = random_instance(seed)
         tree = tree.rerooted(root)
-        reduced = full_reduce(eng, tree, with_rids(tables))
+        reduced, _ = full_reduce(eng, tree, with_rids(tables))
         g = np.random.default_rng(seed)
         dfs = dict(reduced)
         carry = {}
